@@ -186,15 +186,15 @@ func failoverOnce(events *table.Table, sp stream.Spec, expectWindows int) (gap t
 	}
 	defer kill()
 
-	tcp, err := federation.DialTCP(primaryAddr)
+	mx, err := federation.DialMux(primaryAddr, federation.DialOpts{})
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := tcp.Store("events", events, nil); err != nil {
-		tcp.Close()
+	if err := mx.Store("events", events, nil); err != nil {
+		mx.Close()
 		return 0, nil, err
 	}
-	tcp.Close()
+	mx.Close()
 
 	follower, err := storage.OpenEngine("p", followerDir)
 	if err != nil {

@@ -17,11 +17,11 @@ import (
 
 // Front-door multiplexing benchmark (-load-mux -> BENCH_8.json). For
 // each subscription count it runs the same windowed dataset-replay
-// workload twice — once with the classic one-TCP-connection-per-
-// subscription front door, once with every subscription multiplexed
-// over a single connection — and reports connection counts, wall time
-// and per-subscription completion latency (p50/p99). The mux must
-// collapse N connections into one without inflating the tail; the run
+// workload twice — once with one session, and so one connection, per
+// subscription, once with every subscription sharing a single
+// session's connection — and reports connection counts, wall time and
+// per-subscription completion latency (p50/p99). Sharing must collapse
+// N connections into one without inflating the tail; the run
 // self-asserts that both modes actually streamed windows.
 
 // MuxRun is one (mode, subscription count) cell.
@@ -125,7 +125,7 @@ func runLoadMux(out string, quick bool) error {
 	fmt.Printf("%-14s %6s %6s %9s %10s %10s %10s\n", "mode", "subs", "conns", "windows", "wall", "p50", "p99")
 
 	for _, n := range counts {
-		// Baseline: one TCP connection per subscription.
+		// Baseline: one session, and so one connection, per subscription.
 		sessions := make([]*nexus.Session, n)
 		provs := make([]string, n)
 		for i := 0; i < n; i++ {
@@ -152,9 +152,9 @@ func runLoadMux(out string, quick bool) error {
 		}
 
 		// The front door under test: every subscription shares one
-		// multiplexed connection.
+		// session's connection.
 		ms := nexus.NewSession()
-		mprov, err := ms.Connect(srv.Addr(), nexus.ConnectOptions{Mux: true})
+		mprov, err := ms.ConnectTCP(srv.Addr())
 		if err != nil {
 			return err
 		}

@@ -2,8 +2,10 @@ package nexus_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -237,5 +239,48 @@ func TestStreamScanRemote(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tableRows(t, local), tableRows(t, remote)) {
 		t.Fatal("remote dataset replay differs from local StreamScan")
+	}
+}
+
+// TestPushPublisherStopsSourceOnEarlyExit: when publishing stops early —
+// the subscriber callback fails, the stream is cancelled and the next
+// Publish errors — the publisher must stop the local source it opened
+// instead of leaving the source's producer goroutine parked forever.
+func TestPushPublisherStopsSourceOnEarlyExit(t *testing.T) {
+	before := generatorGoroutines()
+	s := nexus.NewSession()
+	if _, err := s.AddEngine(nexus.Relational, "p0"); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("subscriber gave up")
+	_, err := windowedQuery(s, eventSource(t, 1_000_000)).
+		SubscribeRemote(context.Background(), []string{"p0"}, func(*nexus.Table) error { return boom })
+	if !errors.Is(err, boom) {
+		t.Fatalf("want the callback's error, got %v", err)
+	}
+	s.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := generatorGoroutines()
+		if n <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d source generator goroutines still running after the stream ended", n-before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// generatorGoroutines counts the live producer goroutines of generator
+// sources.
+func generatorGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by nexus/internal/stream.(*generator).")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }

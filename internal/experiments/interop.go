@@ -82,11 +82,11 @@ func E4Interop(rowCounts []int, useTCP bool) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			ta, err := federation.DialTCP(srvA.Addr())
+			ta, err := federation.DialMux(srvA.Addr(), federation.DialOpts{})
 			if err != nil {
 				return nil, err
 			}
-			tb, err := federation.DialTCP(srvB.Addr())
+			tb, err := federation.DialMux(srvB.Addr(), federation.DialOpts{})
 			if err != nil {
 				return nil, err
 			}

@@ -32,11 +32,6 @@ type FailoverOpts struct {
 	// (across all addresses) before the stream fails. 0 means
 	// 4×len(addrs); negative means unlimited (bounded by ctx).
 	MaxAttempts int
-	// Mux subscribes over a multiplexed connection (DialMux) instead of
-	// a dedicated one. Each failover attempt dials a fresh mux owned by
-	// this failover subscription; it is closed when the inner
-	// subscription ends.
-	Mux bool
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -51,10 +46,9 @@ type FailoverOpts struct {
 // which may predate the last batch the old primary sent, so consumers
 // must dedup (windowed streams: key on window start).
 type FailoverSub struct {
-	addrs    []string
-	sub      wire.StreamSub
-	dialOpts DialOpts
-	opts     FailoverOpts
+	addrs []string
+	sub   wire.StreamSub
+	opts  FailoverOpts
 
 	out    chan SubBatch
 	done   chan struct{}
@@ -66,7 +60,7 @@ type FailoverSub struct {
 	mu      sync.Mutex
 	cur     *Subscription
 	curAddr string
-	curMux  *Mux // owns the current subscription's mux connection (Mux mode)
+	curMux  *Mux // the connection the current subscription rides; owned here
 	err     error
 }
 
@@ -98,13 +92,12 @@ func SubscribeFailover(ctx context.Context, addrs []string, sub wire.StreamSub, 
 		opts.DialOpts.Trace = sub.Trace
 	}
 	f := &FailoverSub{
-		addrs:    append([]string(nil), addrs...),
-		sub:      sub,
-		dialOpts: opts.DialOpts.withDefaults(),
-		opts:     opts,
-		out:      make(chan SubBatch, 1),
-		done:     make(chan struct{}),
-		closed:   make(chan struct{}),
+		addrs:  append([]string(nil), addrs...),
+		sub:    sub,
+		opts:   opts,
+		out:    make(chan SubBatch, 1),
+		done:   make(chan struct{}),
+		closed: make(chan struct{}),
 	}
 	inner, mx, idx, err := f.connect(ctx, 0)
 	if err != nil {
@@ -162,8 +155,8 @@ func (f *FailoverSub) setCur(s *Subscription, addr string, mx *Mux) {
 	f.mu.Unlock()
 }
 
-// closeCurMux closes the mux owning the current subscription's
-// connection, if any (Mux mode dials one mux per attempt).
+// closeCurMux closes the connection the current subscription rides
+// (each attempt dials its own).
 func (f *FailoverSub) closeCurMux() {
 	f.mu.Lock()
 	mx := f.curMux
@@ -231,9 +224,9 @@ func (f *FailoverSub) run(ctx context.Context, idx int) {
 }
 
 // connect tries addresses round-robin from start until a subscribe
-// succeeds, backing off between failed attempts. In Mux mode the
-// subscription rides a fresh multiplexed connection (returned so the
-// failover loop can close it when the subscription dies).
+// succeeds, backing off between failed attempts. Each attempt dials a
+// fresh connection, returned so the failover loop can close it when the
+// subscription dies.
 func (f *FailoverSub) connect(ctx context.Context, start int) (*Subscription, *Mux, int, error) {
 	attempts := 0
 	for {
@@ -244,34 +237,12 @@ func (f *FailoverSub) connect(ctx context.Context, start int) (*Subscription, *M
 		addr := f.addrs[i]
 		metRedials.Inc()
 		attemptStart := time.Now()
-		var (
-			sub *Subscription
-			mux *Mux
-			err error
-		)
-		if f.opts.Mux {
-			mx, merr := DialMuxContext(ctx, addr, f.dialOpts)
-			if merr == nil {
-				s, serr := mx.Subscribe(f.sub)
-				if serr == nil {
-					sub, mux = s, mx
-				} else {
-					mx.Close()
-					merr = serr
-				}
+		var sub *Subscription
+		mux, err := DialMuxContext(ctx, addr, f.opts.DialOpts)
+		if err == nil {
+			if sub, err = mux.Subscribe(f.sub); err != nil {
+				mux.Close()
 			}
-			err = merr
-		} else {
-			conn, derr := dialConn(ctx, addr, f.dialOpts)
-			if derr == nil {
-				s, serr := subscribeConnTimeout(conn, f.sub, f.dialOpts.HandshakeTimeout)
-				if serr == nil {
-					sub = s
-				} else {
-					derr = serr
-				}
-			}
-			err = derr
 		}
 		// Each dial+subscribe attempt — first connects and failover
 		// redials alike — records a span under the subscription's trace,

@@ -2,11 +2,13 @@ package federation
 
 import (
 	"fmt"
+	"net"
 	"sync"
 
 	"nexus/internal/core"
 	"nexus/internal/engines/exec"
 	"nexus/internal/provider"
+	"nexus/internal/server"
 	"nexus/internal/table"
 	"nexus/internal/wire"
 )
@@ -24,7 +26,10 @@ type InProc struct {
 	cache     *exec.ExprCache
 }
 
-var _ Transport = (*InProc)(nil)
+var (
+	_ Transport       = (*InProc)(nil)
+	_ StreamTransport = (*InProc)(nil)
+)
 
 // NewInProc wraps a provider as an in-process transport.
 func NewInProc(p provider.Provider) *InProc { return &InProc{prov: p} }
@@ -33,6 +38,33 @@ func NewInProc(p provider.Provider) *InProc { return &InProc{prov: p} }
 func (t *InProc) exprCache() *exec.ExprCache {
 	t.cacheOnce.Do(func() { t.cache = exec.NewExprCache() })
 	return t.cache
+}
+
+// Subscribe implements StreamTransport: the subscription rides a Mux
+// over an in-memory pipe served by the same server code path a remote
+// subscription hits, so the two cannot diverge. Each subscription gets
+// its own pipe, closed when the stream ends: a synchronous pipe shared
+// by concurrent streams would serialize them all through one reader on
+// each side. The transport's expression cache spans subscriptions, like
+// a TCP server's does.
+func (t *InProc) Subscribe(sub wire.StreamSub) (*Subscription, error) {
+	cli, srv := net.Pipe()
+	go func() { _ = server.ServeConnCached(t.prov, srv, t.exprCache()) }()
+	// An in-memory pipe cannot stall on the network: no budgets.
+	mx, err := newMux(cli, "", DialOpts{})
+	if err != nil {
+		return nil, err
+	}
+	s, err := mx.Subscribe(sub)
+	if err != nil {
+		mx.Close()
+		return nil, err
+	}
+	go func() {
+		<-s.done
+		mx.Close()
+	}()
+	return s, nil
 }
 
 // ProviderName implements Transport.

@@ -16,11 +16,11 @@ import (
 	"nexus/internal/wire"
 )
 
-// Mux is the multiplexed front-door transport: N concurrent
-// subscriptions and request/response calls share ONE TCP connection,
-// demultiplexed by the per-sub wire IDs the protocol already carries.
-// This is what "millions of users" needs — thousands of subscriptions
-// per server must not mean thousands of sockets.
+// Mux is the client transport to a nexus server (internal/server): N
+// concurrent subscriptions and request/response calls share ONE
+// connection, demultiplexed by the per-sub wire IDs the protocol
+// already carries. This is what "millions of users" needs — thousands
+// of subscriptions per server must not mean thousands of sockets.
 //
 // Demultiplexing rules:
 //
@@ -40,9 +40,12 @@ import (
 //     Errors and refusals are routed by ID first (live stream, pending
 //     subscribe, then the oldest call when the ID matches or is 0).
 //
-// Calls are bounded by DialOpts.RequestTimeout. A timed-out call
-// poisons the whole mux: FIFO correlation cannot skip a late reply
-// without crediting it to the next caller.
+// Calls are bounded by DialOpts.RequestTimeout; a subscribe ack by
+// HandshakeTimeout once the calls queued ahead of it are answered. A
+// timed-out call poisons the whole mux, live streams included: FIFO
+// correlation cannot skip a late reply without crediting it to the next
+// caller. The server reads the connection's frames in order and runs a
+// query inline, so a long query also delays its siblings' credit.
 type Mux struct {
 	name  string
 	addr  string
@@ -94,9 +97,10 @@ var (
 
 // muxCall is one in-flight request/response exchange.
 type muxCall struct {
-	op string
-	id uint64 // the request's wire ID; 0 for store/append/drop
-	ch chan muxReply
+	op       string
+	id       uint64 // the request's wire ID; 0 for store/append/drop
+	ch       chan muxReply
+	answered chan struct{} // closed once the demux loop has taken its reply
 }
 
 // muxReply is a demultiplexed answer to a call or subscribe handshake.
@@ -114,9 +118,9 @@ func DialMux(addr string, opts DialOpts) (*Mux, error) {
 }
 
 // DialMuxContext is DialMux with a caller-supplied context. The connect
-// and hello exchange run under the DialOpts budgets, surfacing
-// *TimeoutError like DialTCPContext; a mid-handshake failure closes the
-// connection before returning.
+// and hello exchange run under the DialOpts budgets; a budget that runs
+// out surfaces as a *TimeoutError (matches ErrTimeout), and a
+// mid-handshake failure closes the connection before returning.
 func DialMuxContext(ctx context.Context, addr string, opts DialOpts) (mx *Mux, err error) {
 	opts = opts.withDefaults()
 	sp, htc := clientSpan(opts.Trace, "client.dial_mux", trace.String("addr", addr))
@@ -125,25 +129,37 @@ func DialMuxContext(ctx context.Context, addr string, opts DialOpts) (mx *Mux, e
 	if err != nil {
 		return nil, err
 	}
-	ok := false
+	opts.Trace = htc
+	return newMux(conn, addr, opts)
+}
+
+// newMux runs the hello exchange over an established connection and
+// starts the demultiplexer. opts are used as given: a zero
+// HandshakeTimeout or RequestTimeout leaves that exchange unbounded, and
+// opts.Trace parents the server's handshake span. Every failure exit
+// closes conn before returning, so a mid-handshake error (short reply,
+// wrong frame, corrupt payload) cannot leak the connection.
+func newMux(conn net.Conn, addr string, opts DialOpts) (_ *Mux, err error) {
 	defer func() {
-		if !ok {
+		if err != nil {
 			conn.Close()
 		}
 	}()
-	_ = conn.SetDeadline(time.Now().Add(opts.HandshakeTimeout))
-	if _, err := wire.WriteFrame(conn, wire.MsgHello, wire.EncodeHelloTrace(opts.Tenant, htc)); err != nil {
-		if isTimeout(err) {
-			return nil, &TimeoutError{Op: "hello", Addr: addr, Elapsed: opts.HandshakeTimeout}
+	if opts.HandshakeTimeout > 0 {
+		_ = conn.SetDeadline(time.Now().Add(opts.HandshakeTimeout))
+	}
+	timeoutErr := func(err error) error {
+		if opts.HandshakeTimeout > 0 && isTimeout(err) {
+			return &TimeoutError{Op: "hello", Addr: addr, Elapsed: opts.HandshakeTimeout}
 		}
-		return nil, err
+		return err
+	}
+	if _, err := wire.WriteFrame(conn, wire.MsgHello, wire.EncodeHelloTrace(opts.Tenant, opts.Trace)); err != nil {
+		return nil, timeoutErr(err)
 	}
 	typ, payload, _, err := wire.ReadFrame(conn)
 	if err != nil {
-		if isTimeout(err) {
-			return nil, &TimeoutError{Op: "hello", Addr: addr, Elapsed: opts.HandshakeTimeout}
-		}
-		return nil, err
+		return nil, timeoutErr(err)
 	}
 	_ = conn.SetDeadline(time.Time{})
 	if typ != wire.MsgHelloAck {
@@ -163,7 +179,6 @@ func DialMuxContext(ctx context.Context, addr string, opts DialOpts) (mx *Mux, e
 		subs:        map[uint64]chan subFrame{},
 		done:        make(chan struct{}),
 	}
-	ok = true
 	metMuxConns.Inc()
 	go m.readLoop()
 	return m, nil
@@ -291,8 +306,7 @@ func (m *Mux) route(typ wire.MsgType, payload []byte) error {
 		// carry 0). Anything else is an error for a stream that already
 		// ended locally: drop it.
 		if len(m.calls) > 0 && (id == 0 || id == m.calls[0].id) {
-			c := m.calls[0]
-			m.calls = m.calls[1:]
+			c := m.popCall()
 			m.mu.Unlock()
 			c.ch <- muxReply{typ: typ, payload: payload}
 			return nil
@@ -307,12 +321,20 @@ func (m *Mux) route(typ wire.MsgType, payload []byte) error {
 			m.mu.Unlock()
 			return fmt.Errorf("federation: mux: unexpected %v with no call in flight", typ)
 		}
-		c := m.calls[0]
-		m.calls = m.calls[1:]
+		c := m.popCall()
 		m.mu.Unlock()
 		c.ch <- muxReply{typ: typ, payload: payload}
 		return nil
 	}
+}
+
+// popCall takes the oldest in-flight call off the FIFO queue and marks
+// it answered. m.mu must be held.
+func (m *Mux) popCall() *muxCall {
+	c := m.calls[0]
+	m.calls = m.calls[1:]
+	close(c.answered)
+	return c
 }
 
 // failAll poisons the mux: every in-flight call and pending subscribe
@@ -409,7 +431,7 @@ func (m *Mux) writeRaw(t wire.MsgType, payload []byte) error {
 // wait for the demux loop to deliver the answer, bounded by
 // RequestTimeout.
 func (m *Mux) call(op string, id uint64, msg wire.MsgType, payload []byte, met *Metrics) (wire.MsgType, []byte, error) {
-	c := &muxCall{op: op, id: id, ch: make(chan muxReply, 1)}
+	c := &muxCall{op: op, id: id, ch: make(chan muxReply, 1), answered: make(chan struct{})}
 	m.wmu.Lock()
 	m.mu.Lock()
 	if m.failErr != nil {
@@ -605,12 +627,77 @@ func (m *Mux) Subscribe(sub wire.StreamSub) (_ *Subscription, err error) {
 	}
 	m.pendingSubs[sub.ID] = ack
 	m.subs[sub.ID] = inbox
+	var ahead chan struct{}
+	if n := len(m.calls); n > 0 {
+		ahead = m.calls[n-1].answered
+	}
 	m.mu.Unlock()
 	_, werr := wire.WriteFrame(m.conn, wire.MsgSubscribeStream, wire.EncodeSubscribeStream(sub))
 	m.wmu.Unlock()
 	if werr != nil {
 		m.failAll(fmt.Errorf("federation: mux write: %w", werr))
 		return nil, werr
+	}
+	r, err := m.awaitSubAck(ack, ahead)
+	if err != nil {
+		return nil, err
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	switch r.typ {
+	case wire.MsgSubAck:
+		ackID, outSch, err := wire.DecodeSubAck(r.payload)
+		if err != nil {
+			m.severSub(sub.ID)
+			return nil, err
+		}
+		if ackID != sub.ID {
+			m.severSub(sub.ID)
+			return nil, fmt.Errorf("federation: subscribe ack for id %d, want %d", ackID, sub.ID)
+		}
+		s := &Subscription{
+			mx:        m,
+			inbox:     inbox,
+			id:        sub.ID,
+			outSch:    outSch,
+			sp:        sp,
+			out:       make(chan SubBatch, 1),
+			done:      make(chan struct{}),
+			closed:    make(chan struct{}),
+			pubCredit: server.PublishWindow,
+		}
+		s.pubCond = sync.NewCond(&s.mu)
+		metMuxSubs.Inc()
+		go s.readLoop()
+		return s, nil
+	case wire.MsgError:
+		m.severSub(sub.ID)
+		_, msg, _ := wire.DecodeError(r.payload)
+		return nil, fmt.Errorf("federation: subscribe: %s", msg)
+	case wire.MsgRefused:
+		m.severSub(sub.ID)
+		return nil, decodeRefused("subscribe", r.payload)
+	default:
+		rerr := fmt.Errorf("federation: server replied %v to subscribe", r.typ)
+		m.failAll(rerr)
+		return nil, rerr
+	}
+}
+
+// awaitSubAck waits for a subscribe's answer. The server answers one
+// connection's requests in order, so the ack cannot arrive before the
+// replies to the calls queued ahead of the subscribe (ahead, nil when
+// there are none, closes once those are in; each is bounded by its own
+// RequestTimeout). HandshakeTimeout bounds the subscribe itself, from
+// that moment on.
+func (m *Mux) awaitSubAck(ack <-chan muxReply, ahead <-chan struct{}) (muxReply, error) {
+	if ahead != nil {
+		select {
+		case r := <-ack:
+			return r, nil
+		case <-ahead:
+		}
 	}
 	var timeout <-chan time.Time
 	if m.opts.HandshakeTimeout > 0 {
@@ -620,53 +707,13 @@ func (m *Mux) Subscribe(sub wire.StreamSub) (_ *Subscription, err error) {
 	}
 	select {
 	case r := <-ack:
-		if r.err != nil {
-			return nil, r.err
-		}
-		switch r.typ {
-		case wire.MsgSubAck:
-			ackID, outSch, err := wire.DecodeSubAck(r.payload)
-			if err != nil {
-				m.severSub(sub.ID)
-				return nil, err
-			}
-			if ackID != sub.ID {
-				m.severSub(sub.ID)
-				return nil, fmt.Errorf("federation: subscribe ack for id %d, want %d", ackID, sub.ID)
-			}
-			s := &Subscription{
-				mx:        m,
-				inbox:     inbox,
-				id:        sub.ID,
-				outSch:    outSch,
-				sp:        sp,
-				out:       make(chan SubBatch, 1),
-				done:      make(chan struct{}),
-				closed:    make(chan struct{}),
-				pubCredit: server.PublishWindow,
-			}
-			s.pubCond = sync.NewCond(&s.mu)
-			metMuxSubs.Inc()
-			go s.readLoop()
-			return s, nil
-		case wire.MsgError:
-			m.severSub(sub.ID)
-			_, msg, _ := wire.DecodeError(r.payload)
-			return nil, fmt.Errorf("federation: subscribe: %s", msg)
-		case wire.MsgRefused:
-			m.severSub(sub.ID)
-			return nil, decodeRefused("subscribe", r.payload)
-		default:
-			rerr := fmt.Errorf("federation: server replied %v to subscribe", r.typ)
-			m.failAll(rerr)
-			return nil, rerr
-		}
+		return r, nil
 	case <-timeout:
 		// The server never acknowledged; if its pipeline starts later it
 		// would stall on credit with nobody consuming. Poison the mux
 		// rather than leak a half-open stream.
 		terr := &TimeoutError{Op: "subscribe", Addr: m.addr, Elapsed: m.opts.HandshakeTimeout}
 		m.failAll(terr)
-		return nil, terr
+		return muxReply{}, terr
 	}
 }

@@ -99,8 +99,8 @@ func drainRows(s *Subscription) ([]string, error) {
 
 // TestMuxManySubsByteIdentical is the acceptance differential: many
 // subscriptions multiplexed over ONE TCP connection must each produce
-// windows byte-identical to a subscription running on its own dedicated
-// connection (256 subscriptions; 64 under -short).
+// windows byte-identical to the in-process pipeline (256
+// subscriptions; 64 under -short).
 func TestMuxManySubsByteIdentical(t *testing.T) {
 	n := 256
 	if testing.Short() {
@@ -110,22 +110,9 @@ func TestMuxManySubsByteIdentical(t *testing.T) {
 	srv := muxServer(t, events)
 	pk := diffPipelines()[0] // tumbling aggregate
 
-	// Baseline: the existing one-connection-per-subscription transport.
-	tcp, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tcp.Close)
-	base, err := tcp.Subscribe(muxEventsSub(t, events, pk, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := drainRows(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleRows(t, events, pk, 1)
 	if len(want) == 0 {
-		t.Fatal("baseline produced no rows; differential is vacuous")
+		t.Fatal("oracle produced no rows; differential is vacuous")
 	}
 
 	mx, err := DialMux(srv.Addr(), DialOpts{})
@@ -158,7 +145,7 @@ func TestMuxManySubsByteIdentical(t *testing.T) {
 			t.Fatalf("mux subscription %d: %v", i, errs[i])
 		}
 		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("mux subscription %d differs from the dedicated-connection baseline (%d rows vs %d)", i, len(got[i]), len(want))
+			t.Fatalf("mux subscription %d differs from the in-process oracle (%d rows vs %d)", i, len(got[i]), len(want))
 		}
 	}
 }
@@ -171,20 +158,7 @@ func TestMuxStalledSiblingIsolation(t *testing.T) {
 	events := evTable(43, 1000, 6)
 	srv := muxServer(t, events)
 	pk := diffPipelines()[0]
-
-	tcp, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tcp.Close)
-	base, err := tcp.Subscribe(muxEventsSub(t, events, pk, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := drainRows(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleRows(t, events, pk, 1)
 
 	mx, err := DialMux(srv.Addr(), DialOpts{})
 	if err != nil {
@@ -218,7 +192,7 @@ func TestMuxStalledSiblingIsolation(t *testing.T) {
 			t.Fatalf("fast sibling failed: %v", r.err)
 		}
 		if !reflect.DeepEqual(r.rows, want) {
-			t.Fatal("fast sibling differs from baseline while sibling stalled")
+			t.Fatal("fast sibling differs from the oracle while sibling stalled")
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("fast sibling blocked behind a stalled stream: per-stream credit is not isolated")
@@ -230,7 +204,7 @@ func TestMuxStalledSiblingIsolation(t *testing.T) {
 		t.Fatalf("stalled stream failed after resume: %v", err)
 	}
 	if !reflect.DeepEqual(rows, want) {
-		t.Fatal("stalled stream differs from baseline after late drain")
+		t.Fatal("stalled stream differs from the oracle after late drain")
 	}
 }
 
@@ -252,21 +226,9 @@ func TestMuxWatermarkBurstDoesNotOverflow(t *testing.T) {
 				[]string{"k"}, []core.AggSpec{{Func: core.AggCount, As: "n"}})
 	}}
 
-	tcp, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tcp.Close)
-	base, err := tcp.Subscribe(muxEventsSub(t, events, burst, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := drainRows(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleRows(t, events, burst, 1)
 	if len(want) == 0 {
-		t.Fatal("baseline produced no rows; regression is vacuous")
+		t.Fatal("oracle produced no rows; regression is vacuous")
 	}
 
 	mx, err := DialMux(srv.Addr(), DialOpts{})
@@ -301,7 +263,7 @@ func TestMuxWatermarkBurstDoesNotOverflow(t *testing.T) {
 			t.Fatalf("sibling failed during watermark burst: %v", r.err)
 		}
 		if !reflect.DeepEqual(r.rows, want) {
-			t.Fatal("sibling differs from baseline during watermark burst")
+			t.Fatal("sibling differs from the oracle during watermark burst")
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("sibling blocked during watermark burst")
@@ -314,7 +276,7 @@ func TestMuxWatermarkBurstDoesNotOverflow(t *testing.T) {
 		t.Fatalf("held stream failed after watermark burst: %v", err)
 	}
 	if !reflect.DeepEqual(rows, want) {
-		t.Fatal("held stream differs from baseline after watermark burst")
+		t.Fatal("held stream differs from the oracle after watermark burst")
 	}
 	if err := mx.Err(); err != nil {
 		t.Fatalf("mux poisoned by watermark burst: %v", err)
@@ -323,27 +285,14 @@ func TestMuxWatermarkBurstDoesNotOverflow(t *testing.T) {
 
 // TestMuxInterleavedSoak mixes 64 concurrent subscriptions with
 // interleaved Execute and Append calls over ONE multiplexed connection
-// (run under -race in CI). Every subscription must match the dedicated
-// baseline and every call must return the right answer.
+// (run under -race in CI). Every subscription must match the in-process
+// oracle and every call must return the right answer.
 func TestMuxInterleavedSoak(t *testing.T) {
 	const nSubs = 64
 	events := evTable(47, 800, 6)
 	srv := muxServer(t, events)
 	pk := diffPipelines()[2] // count windows: no lateness, quick
-
-	tcp, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tcp.Close)
-	base, err := tcp.Subscribe(muxEventsSub(t, events, pk, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := drainRows(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleRows(t, events, pk, 1)
 
 	mx, err := DialMux(srv.Addr(), DialOpts{})
 	if err != nil {
@@ -374,7 +323,7 @@ func TestMuxInterleavedSoak(t *testing.T) {
 				return
 			}
 			if !reflect.DeepEqual(rows, want) {
-				errCh <- fmt.Errorf("sub %d differs from baseline", i)
+				errCh <- fmt.Errorf("sub %d differs from the oracle", i)
 			}
 		}(i, s)
 	}
@@ -469,21 +418,21 @@ func silentServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// TestTCPRequestTimeoutSilentServer is the regression for the client
-// hang: the old code cleared ALL deadlines after the handshake, so a
-// server that accepted a request and never answered hung Execute/call
-// forever. Now the exchange is bounded by RequestTimeout, fails with a
-// typed *TimeoutError, and poisons the connection.
-func TestTCPRequestTimeoutSilentServer(t *testing.T) {
+// TestMuxRequestTimeoutSilentServer is the regression for the client
+// hang: a server that accepted a request and never answered must not
+// hang the call forever. The exchange is bounded by RequestTimeout,
+// fails with a typed *TimeoutError, and poisons the whole mux — FIFO
+// correlation cannot skip a late reply.
+func TestMuxRequestTimeoutSilentServer(t *testing.T) {
 	addr := silentServer(t)
-	tr, err := DialTCPContext(t.Context(), addr, DialOpts{RequestTimeout: 150 * time.Millisecond})
+	mx, err := DialMuxContext(t.Context(), addr, DialOpts{RequestTimeout: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("handshake should succeed against the silent server: %v", err)
 	}
-	t.Cleanup(tr.Close)
+	t.Cleanup(mx.Close)
 
 	start := time.Now()
-	err = tr.Store("x", evTable(1, 4, 0), nil)
+	err = mx.Store("x", evTable(1, 4, 0), nil)
 	if err == nil {
 		t.Fatal("store against a silent server succeeded")
 	}
@@ -497,63 +446,174 @@ func TestTCPRequestTimeoutSilentServer(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timed out only after %v — the deadline did not bound the exchange", elapsed)
 	}
+	if mx.Err() == nil {
+		t.Fatal("a timed-out call must poison the mux")
+	}
 
-	// The connection is poisoned: a late reply would desynchronize the
-	// framing, so later calls must fail fast instead of reusing it.
+	// Later calls must fail fast instead of reusing the connection.
 	start = time.Now()
-	if err := tr.Store("y", evTable(1, 4, 0), nil); err == nil {
-		t.Fatal("second store on a poisoned connection succeeded")
+	if err := mx.Store("y", evTable(1, 4, 0), nil); err == nil {
+		t.Fatal("store on a poisoned mux succeeded")
 	}
 	if time.Since(start) > 50*time.Millisecond {
 		t.Fatal("second store waited on the network instead of failing fast")
 	}
 }
 
-// TestMuxRequestTimeoutSilentServer: the same hang bound on the
-// multiplexed transport. A timed-out call must poison the whole mux —
-// FIFO correlation cannot skip a late reply.
-func TestMuxRequestTimeoutSilentServer(t *testing.T) {
+// TestTCPRequestTimeoutSilentServer: the same hang bound for a query.
+// Clearing every deadline after the handshake once let a server that
+// accepted an execute and never answered hang the caller forever; over
+// a real TCP connection the query now fails with a typed *TimeoutError
+// naming the execute, and later calls fail fast.
+func TestTCPRequestTimeoutSilentServer(t *testing.T) {
 	addr := silentServer(t)
 	mx, err := DialMuxContext(t.Context(), addr, DialOpts{RequestTimeout: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("handshake should succeed against the silent server: %v", err)
 	}
 	t.Cleanup(mx.Close)
+	scan := mustScan(t, "x", evSchema())
 
-	err = mx.Store("x", evTable(1, 4, 0), nil)
+	start := time.Now()
+	_, err = mx.Execute(scan, nil)
+	if err == nil {
+		t.Fatal("execute against a silent server succeeded")
+	}
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
 	}
-	if mx.Err() == nil {
-		t.Fatal("a timed-out call must poison the mux")
+	var te *TimeoutError
+	if !errors.As(err, &te) || te.Op != "execute" {
+		t.Fatalf("want *TimeoutError{Op: execute}, got %#v", err)
 	}
-	if err := mx.Store("y", evTable(1, 4, 0), nil); err == nil {
-		t.Fatal("store on a poisoned mux succeeded")
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("timed out only after %v — the deadline did not bound the exchange", elapsed)
+	}
+
+	// The connection is poisoned: a late reply would desynchronize the
+	// framing, so later calls must fail fast instead of reusing it.
+	start = time.Now()
+	if _, err := mx.Execute(scan, nil); err == nil {
+		t.Fatal("second execute on a poisoned connection succeeded")
+	}
+	if time.Since(start) > 50*time.Millisecond {
+		t.Fatal("second execute waited on the network instead of failing fast")
+	}
+}
+
+// TestSubscribeBehindSlowCall: the server answers one connection's
+// requests in order, so a subscribe sent while a long query runs on the
+// same mux is acknowledged only after the query's result. Its handshake
+// budget must start once the query is answered; counting the wait for
+// the query as a late ack used to poison the mux, failing the query and
+// every live stream with it.
+func TestSubscribeBehindSlowCall(t *testing.T) {
+	const handshake = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	gotExec := make(chan struct{})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, _, _, err := wire.ReadFrame(conn); err != nil { // the hello
+			return
+		}
+		if _, err := wire.WriteFrame(conn, wire.MsgHelloAck, wire.EncodeHelloAck(wire.HelloInfo{Name: "slow"})); err != nil {
+			return
+		}
+		_, exec, _, err := wire.ReadFrame(conn) // the execute
+		if err != nil {
+			return
+		}
+		close(gotExec)
+		_, sub, _, err := wire.ReadFrame(conn) // the subscribe, queued behind it
+		if err != nil {
+			return
+		}
+		time.Sleep(4 * handshake) // the query runs well past the handshake budget
+		if _, err := wire.WriteFrame(conn, wire.MsgResult, wire.EncodeResult(peekID(exec), evTable(1, 4, 0))); err != nil {
+			return
+		}
+		if _, err := wire.WriteFrame(conn, wire.MsgSubAck, wire.EncodeSubAck(peekID(sub), evSchema())); err != nil {
+			return
+		}
+		for {
+			if _, _, _, err := wire.ReadFrame(conn); err != nil {
+				return
+			}
+		}
+	}()
+
+	mx, err := DialMux(ln.Addr().String(), DialOpts{HandshakeTimeout: handshake, RequestTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mx.Close)
+	scan := mustScan(t, "x", evSchema())
+	executed := make(chan error, 1)
+	go func() {
+		tab, err := mx.Execute(scan, nil)
+		if err == nil && tab.NumRows() != 4 {
+			err = fmt.Errorf("execute returned %d rows, want 4", tab.NumRows())
+		}
+		executed <- err
+	}()
+	<-gotExec
+	start := time.Now()
+	s, err := mx.Subscribe(wire.StreamSub{
+		SourceKind: wire.StreamSrcPush,
+		TimeCol:    "ts", SrcSchema: evSchema(),
+		Spec: minimalSpec(t),
+	})
+	if err != nil {
+		t.Fatalf("subscribe queued behind a slow query failed after %v: %v", time.Since(start), err)
+	}
+	defer s.Close()
+	if err := <-executed; err != nil {
+		t.Fatalf("the query ahead of the subscribe: %v", err)
+	}
+	if err := mx.Err(); err != nil {
+		t.Fatalf("mux poisoned: %v", err)
 	}
 }
 
 // TestSubscribeNoLeakOnBadSubAck: a server that answers the subscribe
-// handshake with garbage must leave no open client connection behind
-// (the mid-handshake error paths each close the dialed socket).
+// handshake with garbage fails the subscribe and leaves no stream
+// registered. A reply the mux cannot attribute to a request poisons it,
+// and the poisoned connection must be closed, not leaked; a malformed
+// ack for the right stream fails only that subscribe.
 func TestSubscribeNoLeakOnBadSubAck(t *testing.T) {
 	cases := []struct {
-		name  string
-		reply func(conn net.Conn) error
+		name    string
+		reply   func(conn net.Conn, id uint64) error
+		poisons bool
 	}{
-		{"wrong-frame", func(conn net.Conn) error {
+		{"wrong-frame", func(conn net.Conn, _ uint64) error {
 			_, err := wire.WriteFrame(conn, wire.MsgResult, []byte{9, 9})
 			return err
-		}},
-		{"corrupt-ack", func(conn net.Conn) error {
+		}, true},
+		{"corrupt-ack", func(conn net.Conn, _ uint64) error {
 			_, err := wire.WriteFrame(conn, wire.MsgSubAck, []byte{1})
 			return err
-		}},
-		{"wrong-id-ack", func(conn net.Conn) error {
+		}, true},
+		{"wrong-id-ack", func(conn net.Conn, id uint64) error {
 			var e wire.Encoder
-			e.U64(99999) // not the requested subscription ID
+			e.U64(id + 99999) // not the requested subscription ID
 			_, err := wire.WriteFrame(conn, wire.MsgSubAck, e.Bytes())
 			return err
-		}},
+		}, true},
+		{"corrupt-schema-ack", func(conn net.Conn, id uint64) error {
+			var e wire.Encoder
+			e.U64(id) // the right ID, but no output schema follows
+			_, err := wire.WriteFrame(conn, wire.MsgSubAck, e.Bytes())
+			return err
+		}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -570,11 +630,20 @@ func TestSubscribeNoLeakOnBadSubAck(t *testing.T) {
 					return
 				}
 				defer conn.Close()
-				if _, _, _, err := wire.ReadFrame(conn); err != nil { // the subscribe
+				if _, _, _, err := wire.ReadFrame(conn); err != nil { // the hello
 					sawClose <- err
 					return
 				}
-				if err := tc.reply(conn); err != nil {
+				if _, err := wire.WriteFrame(conn, wire.MsgHelloAck, wire.EncodeHelloAck(wire.HelloInfo{Name: "broken"})); err != nil {
+					sawClose <- err
+					return
+				}
+				_, payload, _, err := wire.ReadFrame(conn) // the subscribe
+				if err != nil {
+					sawClose <- err
+					return
+				}
+				if err := tc.reply(conn, peekID(payload)); err != nil {
 					sawClose <- err
 					return
 				}
@@ -583,15 +652,26 @@ func TestSubscribeNoLeakOnBadSubAck(t *testing.T) {
 				sawClose <- err
 			}()
 
-			conn, err := net.Dial("tcp", ln.Addr().String())
+			mx, err := DialMux(ln.Addr().String(), DialOpts{HandshakeTimeout: 2 * time.Second})
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(mx.Close)
 			events := evTable(3, 50, 0)
-			sub := muxEventsSub(t, events, diffPipelines()[0], 4)
-			sub.ID = 7
-			if _, err := subscribeConnTimeout(conn, sub, 2*time.Second); err == nil {
+			if _, err := mx.Subscribe(muxEventsSub(t, events, diffPipelines()[0], 4)); err == nil {
 				t.Fatal("subscribe succeeded against a broken handshake")
+			}
+			mx.mu.Lock()
+			registered := len(mx.subs) + len(mx.pendingSubs)
+			mx.mu.Unlock()
+			if registered != 0 {
+				t.Fatalf("%d streams still registered after the failed subscribe", registered)
+			}
+			if !tc.poisons {
+				if err := mx.Err(); err != nil {
+					t.Fatalf("a malformed ack for the right stream poisoned the mux: %v", err)
+				}
+				return
 			}
 			select {
 			case err := <-sawClose:
@@ -695,7 +775,7 @@ func TestAdmissionAppendQuota(t *testing.T) {
 	srv.SetAdmission(server.AdmissionConfig{
 		Default: server.TenantQuota{AppendRowsPerSec: 1}, // burst 2
 	})
-	tr, err := DialTCPContext(t.Context(), srv.Addr(), DialOpts{})
+	tr, err := DialMuxContext(t.Context(), srv.Addr(), DialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -723,7 +803,7 @@ func TestAdmissionScanQuota(t *testing.T) {
 	srv.SetAdmission(server.AdmissionConfig{
 		Default: server.TenantQuota{ScanRowsPerSec: 1}, // burst 2
 	})
-	tr, err := DialTCPContext(t.Context(), srv.Addr(), DialOpts{})
+	tr, err := DialMuxContext(t.Context(), srv.Addr(), DialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,12 @@ func TestSubscribeTraceClosesOnSeveredTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := netfault.NewFaults(5)
-	sub, err := SubscribeConn(faults.Wrap(conn), netfaultSub(t, tc))
+	mx, err := newMux(faults.Wrap(conn), addr, DialOpts{})
+	if err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	t.Cleanup(mx.Close)
+	sub, err := mx.Subscribe(netfaultSub(t, tc))
 	if err != nil {
 		t.Fatalf("subscribe handshake: %v", err)
 	}
@@ -136,8 +141,13 @@ func TestSubscribeTraceClosesOnHandshakeCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := netfault.NewFaults(7)
-	faults.CutAfter(1) // the subscribe frame is the first write
-	if _, err := SubscribeConn(faults.Wrap(conn), netfaultSub(t, tc)); err == nil {
+	mx, err := newMux(faults.Wrap(conn), addr, DialOpts{})
+	if err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	t.Cleanup(mx.Close)
+	faults.CutAfter(1) // the subscribe frame is the first write after the hello
+	if _, err := mx.Subscribe(netfaultSub(t, tc)); err == nil {
 		t.Fatal("subscribe succeeded over a cut transport")
 	}
 

@@ -234,7 +234,8 @@ func inprocTransports(t *testing.T, events *table.Table, n int) []StreamTranspor
 	return trs
 }
 
-// tcpTransports starts n TCP servers all hosting the events dataset.
+// tcpTransports starts n TCP servers all hosting the events dataset and
+// dials one mux to each.
 func tcpTransports(t *testing.T, events *table.Table, n int) []StreamTransport {
 	t.Helper()
 	trs := make([]StreamTransport, n)
@@ -249,7 +250,7 @@ func tcpTransports(t *testing.T, events *table.Table, n int) []StreamTransport {
 		}
 		srv.Logf = func(string, ...any) {}
 		t.Cleanup(srv.Close)
-		tr, err := DialTCP(srv.Addr())
+		tr, err := DialMux(srv.Addr(), DialOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,13 +457,121 @@ func TestPushSubscription(t *testing.T) {
 	}
 }
 
+// TestPublishWakesOnCleanEnd regresses a lost wakeup: a Publish parked
+// on an exhausted publish window must fail once the server ends the
+// stream cleanly. The reader used to wake parked publishers before it
+// recorded that the stream was over, so a publisher running in that gap
+// found the stream live and waited forever. A goroutine holding the mux
+// lock in short bursts stretches the reader's teardown to widen the gap.
+func TestPublishWakesOnCleanEnd(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	end := make(chan struct{})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, _, _, err := wire.ReadFrame(conn); err != nil { // the hello
+			return
+		}
+		if _, err := wire.WriteFrame(conn, wire.MsgHelloAck, wire.EncodeHelloAck(wire.HelloInfo{Name: "pushend"})); err != nil {
+			return
+		}
+		_, payload, _, err := wire.ReadFrame(conn) // the subscribe
+		if err != nil {
+			return
+		}
+		id := peekID(payload)
+		if _, err := wire.WriteFrame(conn, wire.MsgSubAck, wire.EncodeSubAck(id, evSchema())); err != nil {
+			return
+		}
+		// Take the whole publish window and grant no credit back.
+		for i := 0; i < server.PublishWindow; i++ {
+			if _, _, _, err := wire.ReadFrame(conn); err != nil {
+				return
+			}
+		}
+		<-end
+		if _, err := wire.WriteFrame(conn, wire.MsgStreamEnd, wire.EncodeStreamEnd(id, stream.Stats{})); err != nil {
+			return
+		}
+		for {
+			if _, _, _, err := wire.ReadFrame(conn); err != nil {
+				return
+			}
+		}
+	}()
+
+	mx, err := DialMux(ln.Addr().String(), DialOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mx.Close)
+	s, err := mx.Subscribe(wire.StreamSub{
+		SourceKind: wire.StreamSrcPush,
+		TimeCol:    "ts", SrcSchema: evSchema(),
+		Spec: minimalSpec(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := evTable(1, 4, 0)
+	for i := 0; i < server.PublishWindow; i++ {
+		if err := s.Publish(batch); err != nil {
+			t.Fatalf("publish %d within the window: %v", i, err)
+		}
+	}
+	published := make(chan error, 1)
+	go func() { published <- s.Publish(batch) }() // no credit left: parks
+	time.Sleep(20 * time.Millisecond)
+
+	stop := make(chan struct{})
+	var hog sync.WaitGroup
+	hog.Add(1)
+	go func() {
+		defer hog.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			mx.mu.Lock()
+			time.Sleep(5 * time.Millisecond)
+			mx.mu.Unlock()
+		}
+	}()
+	defer func() {
+		close(stop)
+		hog.Wait()
+	}()
+	close(end)
+
+	select {
+	case err := <-published:
+		if err == nil {
+			t.Fatal("publish on a stream the server ended succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Publish still parked 5s after the server ended the stream: lost wakeup")
+	}
+	if _, err := s.Wait(); err != nil {
+		t.Fatalf("clean end reported as %v", err)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Hello handshake leak
 
-// TestDialTCPNoLeakOnBadHello: a server that answers the hello with
+// TestDialMuxNoLeakOnBadHello: a server that answers the hello with
 // garbage must leave no open client connection behind — the server side
 // observes EOF promptly after the failed dial.
-func TestDialTCPNoLeakOnBadHello(t *testing.T) {
+func TestDialMuxNoLeakOnBadHello(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +599,7 @@ func TestDialTCPNoLeakOnBadHello(t *testing.T) {
 		sawEOF <- err
 	}()
 
-	if _, err := DialTCP(ln.Addr().String()); err == nil {
+	if _, err := DialMux(ln.Addr().String(), DialOpts{}); err == nil {
 		t.Fatal("dial succeeded against a broken hello")
 	}
 	select {

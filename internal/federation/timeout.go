@@ -35,8 +35,8 @@ func (e *TimeoutError) Timeout() bool { return true }
 // Is makes errors.Is(err, ErrTimeout) match.
 func (e *TimeoutError) Is(target error) bool { return target == ErrTimeout }
 
-// DialOpts configures the network budgets of DialTCPContext, DialMux
-// and SubscribeContext. The zero value gets the defaults.
+// DialOpts configures the network budgets of DialMux and
+// SubscribeFailover. The zero value gets the defaults.
 type DialOpts struct {
 	// ConnectTimeout bounds the TCP connect (default 5s).
 	ConnectTimeout time.Duration
@@ -48,7 +48,7 @@ type DialOpts struct {
 	// disables). A server that accepts a request and then goes silent
 	// fails the call with a *TimeoutError instead of hanging it
 	// forever; the connection is poisoned afterwards, since a late
-	// reply would desynchronize the framing.
+	// reply would be credited to the next call.
 	RequestTimeout time.Duration
 	// Tenant is the admission-control token sent in the hello exchange.
 	// Servers with per-tenant quotas account this connection's

@@ -27,8 +27,7 @@ func minimalSpec(t *testing.T) stream.Spec {
 }
 
 // silentListener accepts connections and never writes a byte — the
-// pathological peer the old deadline-free DialTCP would hang on
-// forever.
+// pathological peer a deadline-free dial would hang on forever.
 func silentListener(t *testing.T) net.Listener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -57,13 +56,13 @@ func silentListener(t *testing.T) net.Listener {
 	return ln
 }
 
-// TestDialTCPContextHandshakeTimeout: a server that accepts but never
+// TestDialMuxContextHandshakeTimeout: a server that accepts but never
 // answers the hello surfaces a typed timeout instead of blocking
 // forever.
-func TestDialTCPContextHandshakeTimeout(t *testing.T) {
+func TestDialMuxContextHandshakeTimeout(t *testing.T) {
 	ln := silentListener(t)
 	start := time.Now()
-	_, err := DialTCPContext(context.Background(), ln.Addr().String(),
+	_, err := DialMuxContext(context.Background(), ln.Addr().String(),
 		DialOpts{HandshakeTimeout: 50 * time.Millisecond})
 	if err == nil {
 		t.Fatal("dial to a silent server succeeded")
@@ -86,26 +85,28 @@ func TestDialTCPContextHandshakeTimeout(t *testing.T) {
 	}
 }
 
-// TestDialTCPContextHonorsCancellation: a canceled context aborts the
+// TestDialMuxContextHonorsCancellation: a canceled context aborts the
 // dial immediately.
-func TestDialTCPContextHonorsCancellation(t *testing.T) {
+func TestDialMuxContextHonorsCancellation(t *testing.T) {
 	ln := silentListener(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DialTCPContext(ctx, ln.Addr().String(), DialOpts{}); err == nil {
+	if _, err := DialMuxContext(ctx, ln.Addr().String(), DialOpts{}); err == nil {
 		t.Fatal("dial with canceled context succeeded")
 	}
 }
 
-// TestSubscribeContextHandshakeTimeout: a server that accepts the
-// subscription frame but never acks surfaces the typed timeout.
+// TestSubscribeContextHandshakeTimeout: a server that completes the
+// hello, accepts the subscription frame but never acks surfaces the
+// typed timeout from Mux.Subscribe.
 func TestSubscribeContextHandshakeTimeout(t *testing.T) {
-	ln := silentListener(t)
-	tr := &TCP{addr: ln.Addr().String()}
+	mx, err := DialMux(silentServer(t), DialOpts{HandshakeTimeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("hello should succeed against the silent server: %v", err)
+	}
+	t.Cleanup(mx.Close)
 	start := time.Now()
-	_, err := tr.SubscribeContext(context.Background(),
-		wire.StreamSub{SourceKind: wire.StreamSrcDataset, Dataset: "d", TimeCol: "ts", Spec: minimalSpec(t)},
-		DialOpts{HandshakeTimeout: 50 * time.Millisecond})
+	_, err = mx.Subscribe(wire.StreamSub{SourceKind: wire.StreamSrcDataset, Dataset: "d", TimeCol: "ts", Spec: minimalSpec(t)})
 	if err == nil {
 		t.Fatal("subscribe to a silent server succeeded")
 	}
@@ -121,17 +122,17 @@ func TestSubscribeContextHandshakeTimeout(t *testing.T) {
 	}
 }
 
-// TestDialTCPDefaultHasDeadline pins the satellite fix itself: the
-// plain DialTCP entry point now carries the default handshake deadline,
-// so even legacy callers cannot hang forever on a silent peer.
-func TestDialTCPDefaultHasDeadline(t *testing.T) {
+// TestDialMuxDefaultHasDeadline: the zero DialOpts carry the default
+// handshake deadline, so a caller that sets no budget cannot hang
+// forever on a silent peer.
+func TestDialMuxDefaultHasDeadline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out the default 5s handshake deadline")
 	}
 	ln := silentListener(t)
 	done := make(chan error, 1)
 	go func() {
-		_, err := DialTCP(ln.Addr().String())
+		_, err := DialMux(ln.Addr().String(), DialOpts{})
 		done <- err
 	}()
 	select {
@@ -143,6 +144,6 @@ func TestDialTCPDefaultHasDeadline(t *testing.T) {
 			t.Fatalf("error %v, want ErrTimeout", err)
 		}
 	case <-time.After(DefaultConnectTimeout + 5*time.Second):
-		t.Fatal("DialTCP still hangs without a deadline")
+		t.Fatal("DialMux hangs without a deadline")
 	}
 }

@@ -301,7 +301,11 @@ func (r *OpsRegistry) logSlow(o *Op, dur time.Duration, err error) {
 		line.Error = err.Error()
 	}
 	if b, e := json.Marshal(line); e == nil {
+		// Ops finish concurrently and the output need not be safe for
+		// concurrent use: one line at a time.
+		r.slowMu.Lock()
 		_, _ = fmt.Fprintf(out, "%s\n", b)
+		r.slowMu.Unlock()
 	}
 }
 

@@ -452,8 +452,12 @@ func (q *StreamQuery) CollectRemote(ctx context.Context, providers ...string) (*
 // partition, and publishes micro-batches upstream, ending every
 // partition's input when the source completes. skips[p] rows routed to
 // partition p are dropped first — the partition's pipeline consumed
-// them before the resume point.
+// them before the resume point. The source is opened on a child context
+// cancelled on return, so a publisher that stops early (a failed
+// Publish) also stops the source's producer.
 func publishRows(ctx context.Context, src stream.Source, subs []*federation.Subscription, keyIdx int, skips []int64) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	defer stream.ReleaseSource(src)
 	rows := src.Open(ctx)
 	n := len(subs)

@@ -1,7 +1,6 @@
 package nexus
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -20,7 +19,6 @@ import (
 	"nexus/internal/storage"
 	"nexus/internal/stream"
 	"nexus/internal/table"
-	"nexus/internal/wire"
 )
 
 // EngineKind selects an in-process back-end engine type.
@@ -198,11 +196,6 @@ type ConnectOptions struct {
 	// (per-tenant quotas; see server.AdmissionConfig). Empty is the
 	// anonymous tenant.
 	Tenant string
-	// Mux multiplexes everything the session sends to this server —
-	// queries, appends and any number of stream subscriptions — over ONE
-	// TCP connection with per-stream flow control, instead of opening a
-	// dedicated connection per subscription.
-	Mux bool
 	// ConnectTimeout and RequestTimeout override the network budgets
 	// (zero keeps the defaults; see federation.DialOpts).
 	ConnectTimeout time.Duration
@@ -216,8 +209,10 @@ type ConnectOptions struct {
 }
 
 // Connect attaches a remote nexus server as a provider with explicit
-// front-door options: a tenant identity for admission control, request
-// budgets, and optionally a multiplexed connection.
+// front-door options: a tenant identity for admission control and
+// request budgets. Everything the session sends to the server —
+// queries, appends and any number of stream subscriptions — shares ONE
+// connection with per-stream flow control.
 func (s *Session) Connect(addr string, o ConnectOptions) (string, error) {
 	opts := federation.DialOpts{
 		ConnectTimeout: o.ConnectTimeout,
@@ -227,23 +222,16 @@ func (s *Session) Connect(addr string, o ConnectOptions) (string, error) {
 	if o.Trace {
 		opts.Trace = toWireTrace(s.traceRoot().Context())
 	}
-	var tr remoteTransport
-	var err error
-	if o.Mux {
-		tr, err = federation.DialMux(addr, opts)
-	} else {
-		tr, err = federation.DialTCPContext(context.Background(), addr, opts)
-	}
+	mx, err := federation.DialMux(addr, opts)
 	if err != nil {
 		return "", err
 	}
-	rp := &remoteProvider{tr: tr}
-	if err := s.reg.Add(rp); err != nil {
-		tr.Close()
+	if err := s.reg.Add(&remoteProvider{mx: mx}); err != nil {
+		mx.Close()
 		return "", err
 	}
-	s.transports = append(s.transports, tr)
-	return tr.ProviderName(), nil
+	s.transports = append(s.transports, mx)
+	return mx.ProviderName(), nil
 }
 
 // Close releases every network connection the session holds (remote
@@ -390,31 +378,20 @@ func (s *Session) Query(src string) *Query {
 	return &Query{s: s, node: n, err: err}
 }
 
-// remoteTransport is the client half a remote provider rides on: both
-// the dedicated-connection TCP transport and the multiplexed Mux
-// satisfy it.
-type remoteTransport interface {
-	federation.StreamTransport
-	Hello() wire.HelloInfo
-	Capabilities() provider.Capabilities
-	Append(name string, t *table.Table, m *federation.Metrics) error
-	Close()
-}
-
-// remoteProvider adapts a remote transport into the provider interface
-// so the planner treats remote servers like local engines.
+// remoteProvider adapts a server connection into the provider
+// interface so the planner treats remote servers like local engines.
 type remoteProvider struct {
-	tr remoteTransport
+	mx *federation.Mux
 }
 
 var _ provider.Provider = (*remoteProvider)(nil)
 
-func (r *remoteProvider) Name() string { return r.tr.ProviderName() }
+func (r *remoteProvider) Name() string { return r.mx.ProviderName() }
 
-func (r *remoteProvider) Capabilities() provider.Capabilities { return r.tr.Capabilities() }
+func (r *remoteProvider) Capabilities() provider.Capabilities { return r.mx.Capabilities() }
 
 func (r *remoteProvider) Datasets() []provider.DatasetInfo {
-	h := r.tr.Hello()
+	h := r.mx.Hello()
 	out := make([]provider.DatasetInfo, 0, len(h.Datasets))
 	for _, ds := range h.Datasets {
 		sch, err := decodeSchema(ds.Schema)
@@ -436,24 +413,24 @@ func (r *remoteProvider) DatasetSchema(name string) (schema.Schema, bool) {
 }
 
 func (r *remoteProvider) Execute(plan coreNode) (*table.Table, error) {
-	return r.tr.Execute(plan, nil)
+	return r.mx.Execute(plan, nil)
 }
 
 func (r *remoteProvider) Store(name string, t *table.Table) error {
-	return r.tr.Store(name, t, nil)
+	return r.mx.Store(name, t, nil)
 }
 
 // Append implements provider.Appender: the server does the append
 // natively (durable servers via their WAL).
 func (r *remoteProvider) Append(name string, t *table.Table) error {
-	return r.tr.Append(name, t, nil)
+	return r.mx.Append(name, t, nil)
 }
 
 // Durable reports what the server declared at hello time, so remote
 // -data-dir servers list their datasets as durable in the catalog.
-func (r *remoteProvider) Durable() bool { return r.tr.Hello().Durable }
+func (r *remoteProvider) Durable() bool { return r.mx.Hello().Durable }
 
-func (r *remoteProvider) Drop(name string) { r.tr.Drop(name, nil) }
+func (r *remoteProvider) Drop(name string) { r.mx.Drop(name, nil) }
 
 // Demo loads the synthetic star schema, matrices, a graph and a series
 // into the session's providers so the shell and quickstart have data to

@@ -279,12 +279,12 @@ func TestCrossProcessTraceDifferential(t *testing.T) {
 	replicaAddr, replicaHTTP, _ := spawnTraceNode(t, "replica",
 		"NEXUS_TRACE_PRIMARY="+primaryAddr)
 
-	// One traced session over the multiplexed front door. The dial and
+	// One traced session over the front door. The dial and
 	// hello record under the session's root, so the server's handshake
 	// span lands in the same trace as everything that follows.
 	s := nexus.NewSession()
 	if _, err := s.Connect(primaryAddr, nexus.ConnectOptions{
-		Mux: true, Tenant: "acme", Trace: true,
+		Tenant: "acme", Trace: true,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestCrossProcessTraceDifferential(t *testing.T) {
 			Spec: traceWindowedSpec(t), Durable: "job", Credit: 2,
 			Trace: m.Trace,
 		},
-		federation.FailoverOpts{Backoff: b, Mux: true, Logf: t.Logf},
+		federation.FailoverOpts{Backoff: b, Logf: t.Logf},
 	)
 	if err != nil {
 		t.Fatal(err)
