@@ -384,6 +384,124 @@ func compareVec(op value.BinOp, l, r *vec, n int) *vec {
 	return res
 }
 
+// CompareHolds reports whether `a op b` holds under value.Compare's
+// total order: the scalar form of the comparison kernels.
+func CompareHolds(op value.BinOp, a, b value.Value) bool {
+	return cmpHolds(op, value.Compare(a, b))
+}
+
+// AndCompare ANDs `col[r] op val` into acc (len(acc) == col.Len()):
+// acc[r] is cleared wherever the comparison does not hold, and rows
+// already false stay false. It computes exactly what compareVec does for
+// a column against a broadcast constant, under value.Compare's total
+// order. Same-kind int64, float64 and string columns run typed loops
+// (int64 exact, no float64 round trip); mixed int/float pairs compare as
+// float64 with NaN first; NULL rows take the verdict of NULL against
+// val. Every other pairing (bools, cross-rank kinds, a NULL constant)
+// falls back to boxed value.Compare per row.
+func AndCompare(op value.BinOp, col *table.Column, val value.Value, acc []bool) {
+	ck, vk := col.Kind(), val.Kind()
+	typed := (ck == vk && (ck == value.KindInt64 || ck == value.KindString)) ||
+		(ck.Numeric() && vk.Numeric())
+	if !typed {
+		for r := range acc {
+			if acc[r] && !CompareHolds(op, col.Value(r), val) {
+				acc[r] = false
+			}
+		}
+		return
+	}
+
+	// The typed loops read NULL rows' zero payload; remember which live
+	// NULL rows the NULL verdict keeps, and patch them in afterwards.
+	valid := col.Validity()
+	var keepNull []int
+	if valid != nil && CompareHolds(op, value.Null, val) {
+		for r, ok := range valid[:len(acc)] {
+			if !ok && acc[r] {
+				keepNull = append(keepNull, r)
+			}
+		}
+	}
+	switch {
+	case ck == value.KindInt64 && vk == value.KindInt64:
+		andCmpLoop(op, col.Ints(), val.Int(), acc)
+	case ck == value.KindString:
+		andCmpLoop(op, col.Strs(), val.Str(), acc)
+	case ck == value.KindFloat64:
+		c, _ := val.AsFloat()
+		f := col.Floats()[:len(acc)]
+		if math.IsNaN(c) || hasNaN(f) {
+			for r, x := range f {
+				acc[r] = acc[r] && cmpHolds(op, cmpFloatTotal(x, c))
+			}
+		} else {
+			andCmpLoop(op, f, c, acc)
+		}
+	default: // int64 column, float64 constant
+		c := val.Float()
+		for r, x := range col.Ints()[:len(acc)] {
+			acc[r] = acc[r] && cmpHolds(op, cmpFloatTotal(float64(x), c))
+		}
+	}
+	if valid != nil {
+		for r, ok := range valid[:len(acc)] {
+			if !ok {
+				acc[r] = false
+			}
+		}
+		for _, r := range keepNull {
+			acc[r] = true
+		}
+	}
+}
+
+// andCmpLoop ANDs `a[i] op c` into acc over null-free same-type operands
+// (NaN-free for floats, so each operator's negation is exact). It stores
+// only where the comparison fails, which on clustered data keeps the
+// branch predictable and the untouched part of acc unwritten.
+func andCmpLoop[T int64 | float64 | string](op value.BinOp, a []T, c T, acc []bool) {
+	a = a[:len(acc)]
+	switch op {
+	case value.OpEq:
+		for i, x := range a {
+			if x != c {
+				acc[i] = false
+			}
+		}
+	case value.OpNe:
+		for i, x := range a {
+			if x == c {
+				acc[i] = false
+			}
+		}
+	case value.OpLt:
+		for i, x := range a {
+			if x >= c {
+				acc[i] = false
+			}
+		}
+	case value.OpLe:
+		for i, x := range a {
+			if x > c {
+				acc[i] = false
+			}
+		}
+	case value.OpGt:
+		for i, x := range a {
+			if x <= c {
+				acc[i] = false
+			}
+		}
+	case value.OpGe:
+		for i, x := range a {
+			if x < c {
+				acc[i] = false
+			}
+		}
+	}
+}
+
 // cmpFloatTotal is value.Compare's float leg: NaN sorts first and equals
 // itself.
 func cmpFloatTotal(a, b float64) int {

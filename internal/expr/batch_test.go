@@ -350,3 +350,103 @@ func TestBatchConstantPredicate(t *testing.T) {
 		assertBatchMatchesOracle(t, e, tab)
 	}
 }
+
+// Edge values for the comparison kernels: int64 around ±2^53 and the
+// extremes, floats with NaN, ±Inf and -0.0, strings with the empty one.
+var (
+	edgeInts = []int64{0, 1, -1, 42, 1<<53 - 1, 1 << 53, 1<<53 + 1, -1<<53 - 1, -1 << 53,
+		math.MaxInt64, math.MinInt64}
+	edgeFloats = []float64{0, math.Copysign(0, -1), 1.5, -2.25, 42, math.Inf(1), math.Inf(-1),
+		math.NaN(), 1 << 53, 1<<53 + 2}
+	edgeStrs = []string{"", "a", "ab", "b", "zzz"}
+)
+
+// edgeColumn draws n rows of kind from the edge values. With nulls, about
+// one row in five is NULL and keeps a non-zero payload, so a kernel that
+// reads a NULL row's payload instead of its validity shows.
+func edgeColumn(r *rand.Rand, kind value.Kind, n int, nulls bool) *table.Column {
+	var col *table.Column
+	switch kind {
+	case value.KindInt64:
+		v := make([]int64, n)
+		for i := range v {
+			v[i] = edgeInts[r.Intn(len(edgeInts))]
+		}
+		col = table.IntColumn(v)
+	case value.KindFloat64:
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = edgeFloats[r.Intn(len(edgeFloats))]
+		}
+		col = table.FloatColumn(v)
+	case value.KindString:
+		v := make([]string, n)
+		for i := range v {
+			v[i] = edgeStrs[r.Intn(len(edgeStrs))]
+		}
+		col = table.StringColumn(v)
+	default:
+		v := make([]bool, n)
+		for i := range v {
+			v[i] = r.Intn(2) == 0
+		}
+		col = table.BoolColumn(v)
+	}
+	if !nulls {
+		return col
+	}
+	valid := make([]bool, n)
+	for i := range valid {
+		valid[i] = r.Intn(5) != 0
+	}
+	return col.WithValidity(valid)
+}
+
+// edgeConsts is every edge value boxed, plus NULL and a bool, so each
+// column kind meets same-kind, mixed-numeric and cross-rank constants.
+func edgeConsts() []value.Value {
+	out := []value.Value{value.Null, value.NewBool(true)}
+	for _, x := range edgeInts {
+		out = append(out, value.NewInt(x))
+	}
+	for _, x := range edgeFloats {
+		out = append(out, value.NewFloat(x))
+	}
+	for _, s := range edgeStrs {
+		out = append(out, value.NewString(s))
+	}
+	return out
+}
+
+// TestAndCompareMatchesCompareVec: the masked comparison kernel the
+// storage layer filters plain pages with agrees, row for row, with
+// pre-mask AND compareVec over the same column and constant.
+func TestAndCompareMatchesCompareVec(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	ops := []value.BinOp{value.OpEq, value.OpNe, value.OpLt, value.OpLe, value.OpGt, value.OpGe}
+	kinds := []value.Kind{value.KindInt64, value.KindFloat64, value.KindString, value.KindBool}
+	for _, kind := range kinds {
+		for _, nulls := range []bool{false, true} {
+			for _, n := range []int{0, 1, 7, 4100} {
+				col := edgeColumn(r, kind, n, nulls)
+				for _, val := range edgeConsts() {
+					for _, op := range ops {
+						pre := make([]bool, n)
+						for i := range pre {
+							pre[i] = r.Intn(4) != 0
+						}
+						got := append([]bool(nil), pre...)
+						AndCompare(op, col, val, got)
+						want := compareVec(op, colVec(col), constVec(val), n)
+						for i := range got {
+							if got[i] != (pre[i] && want.bools[i]) {
+								t.Fatalf("%v nulls=%v n=%d: row %d (%v %v %v) = %v, want %v && %v",
+									kind, nulls, n, i, col.Value(i), op, val, got[i], pre[i], want.bools[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -2,8 +2,10 @@ package server
 
 import (
 	"net"
+	"strings"
 	"testing"
 
+	"nexus/internal/core"
 	"nexus/internal/datagen"
 	"nexus/internal/engines/relational"
 	"nexus/internal/wire"
@@ -80,6 +82,55 @@ func TestMalformedPayloadSurvives(t *testing.T) {
 	typ, _, _, err = wire.ReadFrame(conn)
 	if err != nil || typ != wire.MsgHelloAck {
 		t.Fatalf("connection dead after error: %v %v", typ, err)
+	}
+}
+
+// TestDeepPlanRefusedServerKeepsServing: an Execute whose plan nests
+// past the wire decoder's depth bound gets an error frame instead of
+// exhausting the stack (a fatal error no recover can catch, which
+// would drop every tenant), and a second client's query on the same
+// server still succeeds.
+func TestDeepPlanRefusedServerKeepsServing(t *testing.T) {
+	s, eng := startServer(t)
+	sales, _ := eng.Dataset("sales")
+	scan, err := core.NewScan("sales", sales.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := core.Node(scan)
+	for i := 0; i < 2*wire.MaxDecodeDepth; i++ {
+		p, err := core.NewProject(deep, []string{"sale_id"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deep = p
+	}
+
+	hostile := dial(t, s.Addr())
+	if _, err := wire.WriteFrame(hostile, wire.MsgExecute, wire.EncodeExecute(1, deep)); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, _, err := wire.ReadFrame(hostile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != wire.MsgError {
+		t.Fatalf("deep plan answered %v, want error", typ)
+	}
+	if _, msg, _ := wire.DecodeError(payload); !strings.Contains(msg, wire.ErrTooDeep.Error()) {
+		t.Fatalf("deep plan error %q does not name the depth bound", msg)
+	}
+
+	other := dial(t, s.Addr())
+	if _, err := wire.WriteFrame(other, wire.MsgExecute, wire.EncodeExecute(2, scan)); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, _, err = wire.ReadFrame(other)
+	if err != nil || typ != wire.MsgResult {
+		t.Fatalf("second client's query: %v %v", typ, err)
+	}
+	if _, tab, err := wire.DecodeResult(payload); err != nil || tab.NumRows() != sales.NumRows() {
+		t.Fatalf("second client's result: err=%v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 
+	"nexus/internal/expr"
 	"nexus/internal/schema"
 	"nexus/internal/table"
 	"nexus/internal/value"
@@ -16,15 +17,20 @@ import (
 // shared-dict page the dictionary entries plus per-row codes (the
 // constant is compared against each distinct entry once, then rows are
 // filtered by a table lookup on their code — no string comparison per
-// row). Rows that survive every conjunct are materialized selectively.
+// row), and for a plain page the typed payload itself, which the
+// expression layer's typed comparison kernel (expr.AndCompare) filters
+// in one tight loop with no per-row boxing. Rows that survive every
+// conjunct are materialized selectively.
 //
 // Correctness contract: AndMatches must agree exactly with what the
 // vectorized expression kernels would compute on the materialized
-// column. Both sides bottom out in value.Compare's total order (NULL
-// first, int64 exact, mixed numerics as NaN-first floats), so a NULL row
-// matches `<`, `<=`, and `!=` against a non-NULL constant here exactly
-// as it does there; the differential suite in encoded_diff_test.go holds
-// the two paths byte-identical.
+// column. It calls the same comparison code (expr.AndCompare for plain
+// pages and dictionary entries, expr.CompareHolds per run), which
+// bottoms out in value.Compare's total order (NULL first, int64 exact,
+// mixed numerics as NaN-first floats), so a NULL row matches `<`, `<=`,
+// and `!=` against a non-NULL constant here exactly as it does there;
+// the differential suite in encoded_diff_test.go holds the two paths
+// byte-identical.
 
 // EncodedColumn is one column page in its encoded form. Exactly one
 // representation is populated, per enc:
@@ -110,40 +116,21 @@ func parsePageEncoded(b []byte, kind value.Kind, ctx pageCtx) (*EncodedColumn, e
 	return ec, nil
 }
 
-// cmpHoldsEnc mirrors the expression kernels' comparison dispatch
-// (expr.cmpHolds): given value.Compare's three-way result, does op hold?
-// Copied rather than imported to keep storage free of an expr
-// dependency; the differential suite pins the two in agreement.
-func cmpHoldsEnc(op value.BinOp, c int) bool {
-	switch op {
-	case value.OpEq:
-		return c == 0
-	case value.OpNe:
-		return c != 0
-	case value.OpLt:
-		return c < 0
-	case value.OpLe:
-		return c <= 0
-	case value.OpGt:
-		return c > 0
-	default: // OpGe
-		return c >= 0
-	}
-}
-
 // AndMatches ANDs `row op val` into acc (len acc == Rows()): acc[r] is
 // cleared wherever the predicate does not hold; rows already false are
 // skipped. NULL rows compare as value.Null under the total order, which
 // is exactly what the vectorized kernels do on a materialized column.
 //
-// Cost: one value.Compare per RLE run, one per distinct dictionary
-// entry, one per still-live row on plain pages.
+// Cost: one value.Compare per RLE run; one typed-kernel comparison per
+// distinct dictionary entry plus a table lookup per row; on plain pages
+// (and wrapped columns) expr.AndCompare's typed loop over the raw
+// payload, with no per-row boxing.
 func (ec *EncodedColumn) AndMatches(op value.BinOp, val value.Value, acc []bool) {
 	switch ec.enc {
 	case PageEncRLE:
 		at := 0
 		for i, n := range ec.runLens {
-			if !cmpHoldsEnc(op, value.Compare(ec.runVals[i], val)) {
+			if !expr.CompareHolds(op, ec.runVals[i], val) {
 				for j := at; j < at+n; j++ {
 					acc[j] = false
 				}
@@ -153,9 +140,10 @@ func (ec *EncodedColumn) AndMatches(op value.BinOp, val value.Value, acc []bool)
 	case PageEncDict, PageEncDictShared:
 		verdict := make([]bool, ec.dict.Len())
 		for c := range verdict {
-			verdict[c] = cmpHoldsEnc(op, value.Compare(ec.dict.Value(c), val))
+			verdict[c] = true
 		}
-		nullVerdict := cmpHoldsEnc(op, value.Compare(value.Null, val))
+		expr.AndCompare(op, ec.dict, val, verdict)
+		nullVerdict := expr.CompareHolds(op, value.Null, val)
 		if ec.valid == nil {
 			for r, c := range ec.codes {
 				if acc[r] && !verdict[c] {
@@ -177,11 +165,7 @@ func (ec *EncodedColumn) AndMatches(op value.BinOp, val value.Value, acc []bool)
 			}
 		}
 	default: // plain (and wrapped columns)
-		for r := 0; r < ec.rows; r++ {
-			if acc[r] && !cmpHoldsEnc(op, value.Compare(ec.col.Value(r), val)) {
-				acc[r] = false
-			}
-		}
+		expr.AndCompare(op, ec.col, val, acc)
 	}
 }
 

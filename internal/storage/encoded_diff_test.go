@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -69,7 +70,8 @@ func genDiffTable(rng *rand.Rand, rows int, next *int64) *table.Table {
 }
 
 // opHolds is the test's own spelling of the comparison semantics, kept
-// deliberately independent of cmpHoldsEnc.
+// deliberately independent of the expr comparison kernels
+// (expr.AndCompare, expr.CompareHolds) that AndMatches calls.
 func opHolds(op value.BinOp, l, r value.Value) bool {
 	c := value.Compare(l, r)
 	switch op {
@@ -219,6 +221,84 @@ func TestEncodedPageDifferential(t *testing.T) {
 						if value.Compare(dec.Value(r), got.Value(i)) != 0 {
 							t.Fatalf("%s/%s: sel[%d]=row %d = %v, want %v",
 								name, encodingName(enc), i, r, got.Value(i), dec.Value(r))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// plainEdgeColumn draws rows values of kind at the edges of the
+// comparison semantics: int64 around ±2^53 and the extremes, floats with
+// NaN, ±Inf and -0.0, the empty string. With nulls about one row in five
+// is NULL.
+func plainEdgeColumn(rng *rand.Rand, kind value.Kind, rows int, nulls bool) *table.Column {
+	ints := []int64{0, 1, -1, 1<<53 - 1, 1 << 53, 1<<53 + 1, -1<<53 - 1, -1 << 53, math.MaxInt64, math.MinInt64}
+	floats := []float64{0, math.Copysign(0, -1), 2.5, math.Inf(1), math.Inf(-1), math.NaN(), 1 << 53, 1<<53 + 2}
+	strs := []string{"", "a", "ab", "b"}
+	col := table.NewColumn(kind, rows)
+	for i := 0; i < rows; i++ {
+		v := value.Value(value.Null)
+		if !nulls || rng.Intn(5) != 0 {
+			switch kind {
+			case value.KindInt64:
+				v = value.NewInt(ints[rng.Intn(len(ints))])
+			case value.KindFloat64:
+				v = value.NewFloat(floats[rng.Intn(len(floats))])
+			case value.KindString:
+				v = value.NewString(strs[rng.Intn(len(strs))])
+			default:
+				v = value.NewBool(rng.Intn(2) == 0)
+			}
+		}
+		if err := col.Append(v); err != nil {
+			panic(err)
+		}
+	}
+	return col
+}
+
+// TestEncodedPlainKernelEdgeCases drives plain pages, both parsed from
+// the page encoding and wrapped by encodedFromColumn, through AndMatches
+// at the edges of the total order: every column kind with and without
+// NULLs, NaN/±Inf/-0.0 floats, int64 values around ±2^53 against float
+// constants, and pages of 4096+ rows. Every operator runs under a random
+// pre-mask against opHolds.
+func TestEncodedPlainKernelEdgeCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	consts := []value.Value{
+		value.Null, value.NewBool(false),
+		value.NewInt(0), value.NewInt(1 << 53), value.NewInt(1<<53 + 1), value.NewInt(math.MinInt64),
+		value.NewFloat(1 << 53), value.NewFloat(-1 << 53), value.NewFloat(math.Copysign(0, -1)),
+		value.NewFloat(2.5), value.NewFloat(math.NaN()), value.NewFloat(math.Inf(1)), value.NewFloat(math.Inf(-1)),
+		value.NewString(""), value.NewString("ab"),
+	}
+	kinds := []value.Kind{value.KindInt64, value.KindFloat64, value.KindString, value.KindBool}
+	for _, kind := range kinds {
+		for _, nulls := range []bool{false, true} {
+			for _, rows := range []int{1, 4096, 4099} {
+				col := plainEdgeColumn(rng, kind, rows, nulls)
+				ec, err := parsePageEncoded(encodePage(col, PageEncPlain, nil), kind, pageCtx{})
+				if err != nil {
+					t.Fatalf("%v rows=%d: parse: %v", kind, rows, err)
+				}
+				for vi, view := range []*EncodedColumn{ec, encodedFromColumn(col)} {
+					for _, cv := range consts {
+						for _, op := range diffOps {
+							pre := make([]bool, rows)
+							for i := range pre {
+								pre[i] = rng.Intn(4) != 0
+							}
+							got := append([]bool(nil), pre...)
+							view.AndMatches(op, cv, got)
+							for r := 0; r < rows; r++ {
+								want := pre[r] && opHolds(op, col.Value(r), cv)
+								if got[r] != want {
+									t.Fatalf("%v nulls=%v rows=%d view=%d: row %d (%v %v %v) = %v, want %v",
+										kind, nulls, rows, vi, r, col.Value(r), op, cv, got[r], want)
+								}
+							}
 						}
 					}
 				}

@@ -53,8 +53,13 @@ func PutExpr(e *Encoder, x expr.Expr) {
 }
 
 // GetExpr decodes a scalar expression tree (may return nil for the
-// optional-absent tag).
+// optional-absent tag). Its nesting counts toward the decoder's
+// MaxDecodeDepth bound.
 func GetExpr(d *Decoder) expr.Expr {
+	if !d.enter() {
+		return nil
+	}
+	defer d.leave()
 	tag := d.U8()
 	if d.err != nil {
 		return nil

@@ -114,7 +114,8 @@ func PutPlan(e *Encoder, n core.Node) {
 }
 
 // GetPlan decodes an algebra plan, re-running schema inference through
-// the core constructors.
+// the core constructors. Plans and their expressions nested past
+// MaxDecodeDepth fail with ErrTooDeep.
 func GetPlan(d *Decoder) (core.Node, error) {
 	n := getPlan(d)
 	if d.err != nil {
@@ -124,6 +125,10 @@ func GetPlan(d *Decoder) (core.Node, error) {
 }
 
 func getPlan(d *Decoder) core.Node {
+	if !d.enter() {
+		return nil
+	}
+	defer d.leave()
 	kind := core.OpKind(d.U8())
 	if d.err != nil {
 		return nil

@@ -163,7 +163,8 @@ func putSpec(e *Encoder, sp stream.Spec) {
 }
 
 // getSpec decodes a pipeline spec, rebuilding plans through the core
-// constructors (schema inference re-runs on the receiving server).
+// constructors (schema inference re-runs on the receiving server). Its
+// plans decode through GetPlan under the decoder's MaxDecodeDepth bound.
 func getSpec(d *Decoder) (stream.Spec, error) {
 	var sp stream.Spec
 	pre, err := GetPlan(d)

@@ -9,6 +9,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -68,13 +69,24 @@ func (e *Encoder) Str(s string) {
 // Raw appends bytes verbatim (caller framed them already).
 func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
 
+// MaxDecodeDepth bounds how deeply plans and expressions may nest within
+// one decoding (plan operators and expression nodes count alike). It is
+// far beyond any plan a client builds and far below the depth at which
+// the recursive decoders would exhaust the goroutine stack, which Go
+// cannot recover from.
+const MaxDecodeDepth = 10000
+
+// ErrTooDeep reports a plan or expression nested past MaxDecodeDepth.
+var ErrTooDeep = errors.New("wire: nesting too deep")
+
 // Decoder consumes a binary encoding with a sticky error: after the first
 // malformed read every subsequent read returns zero values, and Err
 // reports the failure — callers check once at the end.
 type Decoder struct {
-	buf []byte
-	off int
-	err error
+	buf   []byte
+	off   int
+	err   error
+	depth int // current plan/expression nesting, bounded by MaxDecodeDepth
 }
 
 // NewDecoder wraps a byte string for decoding.
@@ -91,6 +103,23 @@ func (d *Decoder) fail(op string) {
 		d.err = fmt.Errorf("wire: truncated input reading %s at offset %d", op, d.off)
 	}
 }
+
+// enter records one more level of plan or expression nesting. Past
+// MaxDecodeDepth it fails the decoder with ErrTooDeep and returns false;
+// every enter that returns true is paired with a leave.
+func (d *Decoder) enter() bool {
+	if d.depth >= MaxDecodeDepth {
+		if d.err == nil {
+			d.err = fmt.Errorf("%w: more than %d nested plan operators and expressions", ErrTooDeep, MaxDecodeDepth)
+		}
+		return false
+	}
+	d.depth++
+	return true
+}
+
+// leave ends one level of nesting entered with enter.
+func (d *Decoder) leave() { d.depth-- }
 
 // U8 reads one byte.
 func (d *Decoder) U8() uint8 {

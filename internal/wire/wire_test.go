@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -11,6 +12,7 @@ import (
 	"nexus/internal/engines/graph"
 	"nexus/internal/expr"
 	"nexus/internal/schema"
+	"nexus/internal/stream"
 	"nexus/internal/table"
 	"nexus/internal/value"
 )
@@ -159,9 +161,11 @@ func TestExprRoundTrip(t *testing.T) {
 	}
 }
 
-// Plan round trip across representative operators; decode re-runs schema
-// inference so equality means full reconstruction.
-func TestPlanRoundTrip(t *testing.T) {
+// roundTripPlans returns plans across representative operators: a
+// filtered join under a grouped aggregate, sort and limit; an array
+// window; a matrix multiply over literals; and PageRank's iteration.
+func roundTripPlans(tb testing.TB) []core.Node {
+	tb.Helper()
 	sales := datagen.Sales(4, 50, 10, 5)
 	customers := datagen.Customers(5, 10)
 	scanS, _ := core.NewScan("sales", sales.Schema())
@@ -185,10 +189,15 @@ func TestPlanRoundTrip(t *testing.T) {
 
 	pr, err := graph.PageRankPlan("edges", datagen.EdgeSchema(), "vertices", graph.VerticesSchema(), 10, 0.85, 20, 1e-6)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return []core.Node{l, w, mm, pr}
+}
 
-	for _, plan := range []core.Node{l, w, mm, pr} {
+// Plan round trip across representative operators; decode re-runs schema
+// inference so equality means full reconstruction.
+func TestPlanRoundTrip(t *testing.T) {
+	for _, plan := range roundTripPlans(t) {
 		b := EncodePlan(plan)
 		got, err := DecodePlan(b)
 		if err != nil {
@@ -201,6 +210,83 @@ func TestPlanRoundTrip(t *testing.T) {
 			t.Fatalf("plan round trip changed the schema: %v vs %v", got.Schema(), plan.Schema())
 		}
 	}
+}
+
+// deepPlan wraps leaf in Distinct operators (one byte each on the wire)
+// until the plan is depth operators deep: the shape of a hostile frame
+// whose nesting alone once overflowed the decoder's stack.
+func deepPlan(leaf core.Node, depth int) core.Node {
+	n := leaf
+	for i := 1; i < depth; i++ {
+		n, _ = core.NewDistinct(n) // never fails
+	}
+	return n
+}
+
+// TestDecodeDepthBound: plans and expressions nested past MaxDecodeDepth
+// get a typed refusal instead of unbounded recursion, whether the
+// nesting is in the plan, in an expression, or in a stream spec's plan;
+// nesting up to the bound still decodes.
+func TestDecodeDepthBound(t *testing.T) {
+	sch := schema.New(schema.Attribute{Name: "x", Kind: value.KindInt64})
+	scan, _ := core.NewScan("s", sch)
+
+	if _, err := DecodePlan(EncodePlan(deepPlan(scan, MaxDecodeDepth))); err != nil {
+		t.Fatalf("plan at the bound: %v", err)
+	}
+	if _, err := DecodePlan(EncodePlan(deepPlan(scan, 2*MaxDecodeDepth))); !errors.Is(err, ErrTooDeep) {
+		t.Fatalf("plan past the bound: err = %v, want ErrTooDeep", err)
+	}
+
+	// An expression's nesting counts toward the bound of the plan around it.
+	x := expr.Expr(expr.Column("x"))
+	for i := 0; i < MaxDecodeDepth; i++ {
+		x = expr.Neg(x)
+	}
+	var e Encoder
+	PutExpr(&e, x)
+	d := NewDecoder(e.Bytes())
+	if GetExpr(d); !errors.Is(d.Err(), ErrTooDeep) {
+		t.Fatalf("expression past the bound: err = %v, want ErrTooDeep", d.Err())
+	}
+	f, err := core.NewFilter(scan, expr.Gt(x, expr.CInt(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodePlan(EncodePlan(f)); !errors.Is(err, ErrTooDeep) {
+		t.Fatalf("filter past the bound: err = %v, want ErrTooDeep", err)
+	}
+
+	// A stream spec's plans decode under the same bound.
+	src := testEventSchema()
+	sub := StreamSub{ID: 1, SourceKind: StreamSrcPush, TimeCol: "ts", SrcSchema: src,
+		Spec: stream.Spec{Pre: deepPlan(mustVar(t, src), 2*MaxDecodeDepth)}}
+	if _, err := DecodeSubscribeStream(EncodeSubscribeStream(sub)); !errors.Is(err, ErrTooDeep) {
+		t.Fatalf("stream spec past the bound: err = %v, want ErrTooDeep", err)
+	}
+}
+
+// FuzzDecodePlan throws arbitrary bytes at the plan decoder every
+// Execute frame reaches: it must reject garbage and over-deep nesting
+// with errors, never panic, over-allocate or exhaust the stack, and a
+// plan it accepts must survive a re-encode.
+func FuzzDecodePlan(f *testing.F) {
+	for _, p := range roundTripPlans(f) {
+		f.Add(EncodePlan(p))
+	}
+	scan, _ := core.NewScan("s", schema.New(schema.Attribute{Name: "x", Kind: value.KindInt64}))
+	f.Add(EncodePlan(deepPlan(scan, MaxDecodeDepth+1)))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := DecodePlan(data)
+		if err != nil {
+			return
+		}
+		if _, err := DecodePlan(EncodePlan(n)); err != nil {
+			t.Fatalf("decoded plan does not survive a re-encode: %v\n%s", err, core.Explain(n))
+		}
+	})
 }
 
 func TestPlanDecodeRejectsGarbage(t *testing.T) {
