@@ -273,7 +273,7 @@ func filterKernels(quick bool, add addFunc) (map[string]float64, error) {
 		if err := os.WriteFile(file, storage.EncodeSegmentDict(kc.tbl, kc.dicts, kc.dicts != nil), 0o644); err != nil {
 			return nil, err
 		}
-		es, err := storage.ReadSegmentFileColumnsEncoded(file, []int{0}, kc.dicts)
+		es, err := storage.ReadSegmentFile(file, []int{0}, kc.dicts)
 		if err != nil {
 			return nil, err
 		}
@@ -285,24 +285,35 @@ func filterKernels(quick bool, add addFunc) (map[string]float64, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The two sides run interleaved, one op each per round, and
+		// the ratio is of per-side minimums: timed in two separate
+		// windows, a burst of contention landing on one side alone
+		// swung the ratio below the bar on a loaded host.
 		m := make([]bool, n)
-		enc, err := add(measure("filter_"+kc.name+"_encoded", n, func() error {
-			for i := range m {
-				m[i] = true
-			}
-			ec.AndMatches(kc.op, kc.cv, m)
-			return nil
-		}))
+		ns, err := measureInterleaved("filter_"+kc.name, []func() error{
+			func() error {
+				for i := range m {
+					m[i] = true
+				}
+				ec.AndMatches(kc.op, kc.cv, m)
+				return nil
+			},
+			func() error {
+				for i := range m {
+					m[i] = true
+				}
+				kc.holds(mat, m)
+				return nil
+			},
+		})
 		if err != nil {
 			return nil, err
 		}
-		dec, err := add(measure("filter_"+kc.name+"_decoded", n, func() error {
-			for i := range m {
-				m[i] = true
-			}
-			kc.holds(mat, m)
-			return nil
-		}))
+		enc, err := add(kernelResult("filter_"+kc.name+"_encoded", n, ns[0]))
+		if err != nil {
+			return nil, err
+		}
+		dec, err := add(kernelResult("filter_"+kc.name+"_decoded", n, ns[1]))
 		if err != nil {
 			return nil, err
 		}
@@ -325,4 +336,11 @@ func filterKernels(quick bool, add addFunc) (map[string]float64, error) {
 		return nil, fmt.Errorf("plain encoded filter speedup %.2fx, want >= 0.8x", speedups["plain"])
 	}
 	return speedups, nil
+}
+
+// kernelResult reports one side of an interleaved kernel pair in the
+// micro-benchmark shape. NsPerOp is the side's fastest single op, hence
+// Iters 1, and RowsPerSec the throughput at that op.
+func kernelResult(name string, rows int, nsPerOp float64) (MicroResult, error) {
+	return MicroResult{Name: name, Rows: rows, Iters: 1, NsPerOp: nsPerOp, RowsPerSec: float64(rows) / nsPerOp * 1e9}, nil
 }

@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"nexus/internal/schema"
@@ -275,7 +274,7 @@ func (s *Store) compactGroup(name string, sch schema.Schema, cands []cand, opts 
 
 	// Merge and sort outside the lock — segments are immutable, so the
 	// reads need no coordination with writers. Inputs are read WITHOUT
-	// populating the decoded-segment cache: a background pass over a
+	// populating the page cache: a background pass over a
 	// never-queried dataset must not pin the whole dataset in RAM.
 	parts := make([]*table.Table, 0, len(cands))
 	for _, c := range cands {
@@ -334,12 +333,12 @@ func (s *Store) compactGroup(name string, sch schema.Schema, cands []cand, opts 
 		file := segName(s.nextSeg)
 		s.nextSeg++
 		s.mu.Unlock()
-		meta, err := WriteSegmentFileDict(s.dir, file, chunk, outDicts, grow)
+		lay, err := writeSegmentFile(s.dir, file, chunk, outDicts, grow)
 		if err != nil {
 			removeOuts()
 			return 0, 0, 0, 0, err
 		}
-		outs = append(outs, outSeg{file: file, meta: meta})
+		outs = append(outs, outSeg{file: file, meta: lay.meta})
 		if fi, err := os.Stat(filepath.Join(s.dir, file)); err == nil {
 			bytesOut += fi.Size()
 		}
@@ -454,19 +453,8 @@ func (s *Store) compactGroup(name string, sch schema.Schema, cands []cand, opts 
 	// Output tables are deliberately NOT cached — the first scan that
 	// wants them reads and caches them like any other segment.
 	s.man = next
-	s.cacheGen++ // in-flight reads of the purged files must not re-cache them
+	s.purgeCacheLocked(next.segmentFiles())
 	for _, c := range cands {
-		delete(s.segs, c.ref.File)
-		for k := range s.segs {
-			if strings.HasPrefix(k, c.ref.File+"?") {
-				delete(s.segs, k)
-			}
-		}
-		for k := range s.encs {
-			if strings.HasPrefix(k, c.ref.File+"?") {
-				delete(s.encs, k)
-			}
-		}
 		os.Remove(filepath.Join(s.dir, c.ref.File))
 	}
 	if next.Gen > 1 {
@@ -475,24 +463,34 @@ func (s *Store) compactGroup(name string, sch schema.Schema, cands []cand, opts 
 	return len(cands), len(outs), bytesIn, bytesOut, nil
 }
 
-// readSegmentUncached materializes a segment, reusing a cached table if
-// one exists but never inserting into the cache (compaction's read
-// path: the inputs are about to be deleted).
+// readSegmentUncached materializes a segment for compaction, reusing
+// decoded pages already cached but never inserting into the cache (the
+// inputs are about to be deleted) and never counting as a cache lookup.
 func (s *Store) readSegmentUncached(name string, ref SegmentRef) (*table.Table, error) {
 	s.mu.RLock()
-	t, ok := s.segs[ref.File]
+	lay, _, pages, missing := s.lookupLocked(ref.File, nil, true)
 	dicts := s.dictsLocked(name)
 	s.mu.RUnlock()
-	if ok {
-		return t, nil
+	if lay != nil && len(missing) == 0 {
+		cols := make([]*table.Column, len(pages))
+		for i := range pages {
+			cols[i] = pages[i].dec
+		}
+		return table.New(lay.sch, cols)
 	}
-	seg, err := ReadSegmentFileDicts(filepath.Join(s.dir, ref.File), dicts)
+	es, err := ReadSegmentFile(filepath.Join(s.dir, ref.File), nil, dicts)
 	if err != nil {
 		return nil, err
 	}
-	metBytesReadFull.Add(seg.FileBytes)
+	metBytesReadFull.Add(es.FileBytes)
 	s.mu.Lock()
-	s.bytesRead += seg.FileBytes
+	s.bytesRead += es.FileBytes
 	s.mu.Unlock()
-	return seg.Table, nil
+	cols := make([]*table.Column, len(es.Cols))
+	for i, ec := range es.Cols {
+		if cols[i], err = ec.Materialize(); err != nil {
+			return nil, err
+		}
+	}
+	return table.New(es.Schema, cols)
 }

@@ -63,8 +63,8 @@ func (ec *EncodedColumn) Kind() value.Kind { return ec.kind }
 func (ec *EncodedColumn) Encoding() uint8 { return ec.enc }
 
 // EncodedSegment is a projected segment read whose columns stay in
-// encoded form: what ReadSegmentFileColumnsEncoded returns and the
-// encoded scan/aggregate paths consume. Schema, Meta.Zones and Cols
+// encoded form: what ReadSegmentFile and Store.ReadSegmentEncoded return
+// and the encoded scan/aggregate paths consume. Schema, Meta.Zones and Cols
 // cover only the selected columns, in selection order.
 type EncodedSegment struct {
 	Schema    schema.Schema
@@ -80,9 +80,11 @@ func encodedFromColumn(col *table.Column) *EncodedColumn {
 	return &EncodedColumn{kind: col.Kind(), rows: col.Len(), enc: PageEncPlain, col: col}
 }
 
-// parsePageEncoded parses one page into its encoded view without
-// materializing rows. Framing, CRCs, and code bounds are verified
-// exactly as decodePage does.
+// parsePageEncoded is the one page parser every segment read goes
+// through: it verifies framing, CRC and code bounds and returns the
+// page's encoded view without materializing rows (Materialize does that
+// where a plain column is needed). In structural mode a shared-dict page
+// is bounds-checked but not resolved against a dictionary.
 func parsePageEncoded(b []byte, kind value.Kind, ctx pageCtx) (*EncodedColumn, error) {
 	enc, rows, d, err := parsePageHeader(b)
 	if err != nil {

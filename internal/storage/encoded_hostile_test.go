@@ -34,8 +34,8 @@ func tamperedPage(page []byte, off int, v uint32) []byte {
 // reject the page.
 func mustFailPage(t *testing.T, page []byte, kind value.Kind, ctx pageCtx, what string) {
 	t.Helper()
-	if _, err := decodePage(page, kind, ctx); err == nil {
-		t.Fatalf("%s: decodePage accepted hostile page", what)
+	if _, err := materializePage(page, kind, ctx); err == nil {
+		t.Fatalf("%s: materializing parse accepted hostile page", what)
 	}
 	if _, err := parsePageEncoded(page, kind, ctx); err == nil {
 		t.Fatalf("%s: parsePageEncoded accepted hostile page", what)
@@ -68,7 +68,7 @@ func TestHostileSharedDictPage(t *testing.T) {
 	ctx := pageCtx{col: "tier", dict: dict}
 
 	// Sanity: the untampered page round-trips on both paths.
-	if _, err := decodePage(page, value.KindString, ctx); err != nil {
+	if _, err := materializePage(page, value.KindString, ctx); err != nil {
 		t.Fatalf("control decode: %v", err)
 	}
 	ec, err := parsePageEncoded(page, value.KindString, ctx)
@@ -91,7 +91,7 @@ func TestHostileSharedDictPage(t *testing.T) {
 	// Epoch mismatch must surface as the dedicated stale-dictionary
 	// error, the signal readSnapshot retries on and stale plans refuse.
 	bumped := &SharedDict{Col: "tier", Epoch: dict.Epoch + 1, Vals: dict.Vals}
-	if _, err := decodePage(page, value.KindString, pageCtx{col: "tier", dict: bumped}); !isStaleDict(err) {
+	if _, err := materializePage(page, value.KindString, pageCtx{col: "tier", dict: bumped}); !isStaleDict(err) {
 		t.Fatalf("epoch mismatch: got %v, want stale-dict error", err)
 	}
 	if _, err := parsePageEncoded(page, value.KindString, pageCtx{col: "tier", dict: bumped}); !isStaleDict(err) {
@@ -105,10 +105,10 @@ func TestHostileSharedDictPage(t *testing.T) {
 	// fetched segments before the manifest carrying the dicts applies)
 	// but must still bounds-check the codes.
 	structural := pageCtx{col: "tier", structural: true}
-	if _, err := decodePage(page, value.KindString, structural); err != nil {
+	if _, err := parsePageEncoded(page, value.KindString, structural); err != nil {
 		t.Fatalf("structural verify of good page: %v", err)
 	}
-	if _, err := decodePage(hostile, value.KindString, structural); err == nil {
+	if _, err := parsePageEncoded(hostile, value.KindString, structural); err == nil {
 		t.Fatal("structural verify accepted out-of-range code")
 	}
 }
@@ -121,7 +121,7 @@ func TestHostileRLEPage(t *testing.T) {
 	col := b.Build().Col(0)
 	page := encodePage(col, PageEncRLE, nil)
 	ctx := pageCtx{col: "k"}
-	if _, err := decodePage(page, value.KindInt64, ctx); err != nil {
+	if _, err := materializePage(page, value.KindInt64, ctx); err != nil {
 		t.Fatalf("control decode: %v", err)
 	}
 
@@ -151,7 +151,7 @@ func TestHostilePrivateDictPage(t *testing.T) {
 	col := b.Build().Col(0)
 	page := encodePage(col, PageEncDict, nil)
 	ctx := pageCtx{col: "s"}
-	if _, err := decodePage(page, value.KindString, ctx); err != nil {
+	if _, err := materializePage(page, value.KindString, ctx); err != nil {
 		t.Fatalf("control decode: %v", err)
 	}
 	// A private-dict page carries its entries inline; the codes are the
@@ -210,7 +210,7 @@ func TestHostileManifestTruncation(t *testing.T) {
 }
 
 // TestHostileSegmentSharedTruncation truncates a v3 segment at every
-// length: DecodeSegmentDicts and VerifySegment must error, never panic.
+// length: DecodeSegment and VerifySegment must error, never panic.
 func TestHostileSegmentSharedTruncation(t *testing.T) {
 	dicts := DictSet{}
 	tbl := lowCardTable(130)
@@ -218,7 +218,7 @@ func TestHostileSegmentSharedTruncation(t *testing.T) {
 	if data[len(segMagic)] != segVersionV3 {
 		t.Fatalf("seed segment is v%d, want v3", data[len(segMagic)])
 	}
-	if _, err := DecodeSegmentDicts(data, dicts); err != nil {
+	if _, err := DecodeSegment(data, dicts); err != nil {
 		t.Fatalf("control: %v", err)
 	}
 	if err := VerifySegment(data); err != nil {
@@ -229,7 +229,7 @@ func TestHostileSegmentSharedTruncation(t *testing.T) {
 		step = 7
 	}
 	for i := 0; i < len(data); i += step {
-		if _, err := DecodeSegmentDicts(data[:i], dicts); err == nil {
+		if _, err := DecodeSegment(data[:i], dicts); err == nil {
 			t.Fatalf("truncated segment (%d/%d bytes) decoded", i, len(data))
 		}
 		if err := VerifySegment(data[:i]); err == nil {

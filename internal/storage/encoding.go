@@ -268,63 +268,6 @@ func parsePageHeader(b []byte) (enc uint8, rows int, payload *wire.Decoder, err 
 	return enc, rows, d, nil
 }
 
-// decodePage parses and verifies one column page of the given kind,
-// materializing it as a plain column. The whole page (header through
-// trailing CRC) must be the input. In structural mode a shared-dict page
-// returns a nil column after its framing and code bounds are verified.
-func decodePage(b []byte, kind value.Kind, ctx pageCtx) (*table.Column, error) {
-	enc, rows, d, err := parsePageHeader(b)
-	if err != nil {
-		return nil, err
-	}
-	var col *table.Column
-	switch enc {
-	case PageEncPlain:
-		col, err = getPlainPayload(d, kind, rows)
-	case PageEncDict:
-		var dict *table.Column
-		var codes []uint32
-		var valid []bool
-		dict, codes, valid, err = getDictEncoded(d, kind, rows)
-		if err == nil {
-			col = materializeDict(dict, codes, valid)
-		}
-	case PageEncRLE:
-		var lens []int
-		var vals []value.Value
-		lens, vals, err = getRLERuns(d, kind, rows)
-		if err == nil {
-			col, err = fillRuns(kind, lens, vals, rows)
-		}
-	case PageEncDictShared:
-		var entries *table.Column
-		var codes []uint32
-		var valid []bool
-		entries, codes, valid, err = getDictSharedEncoded(d, kind, rows, ctx)
-		if err == nil && !ctx.structural {
-			col = materializeDict(entries, codes, valid)
-		}
-	default:
-		return nil, fmt.Errorf("storage: unknown column page encoding %d", enc)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("storage: %s page: %w", encodingName(enc), err)
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("storage: %s page has %d trailing bytes", encodingName(enc), d.Remaining())
-	}
-	if col == nil {
-		return nil, nil // structural shared-dict page: verified, not materialized
-	}
-	if col.Len() != rows {
-		return nil, fmt.Errorf("storage: %s page decoded %d rows, header says %d", encodingName(enc), col.Len(), rows)
-	}
-	return col, nil
-}
-
 // ---------------------------------------------------------------------------
 // Plain: bool hasNulls | [rows validity bools] | raw values.
 // Byte-for-byte the per-column layout wire.PutTable uses (and therefore
@@ -737,6 +680,11 @@ func getRLERuns(d *wire.Decoder, kind value.Kind, rows int) (lens []int, vals []
 	if rows > maxRLERows {
 		return nil, nil, fmt.Errorf("storage: rle page claims %d rows (cap %d)", rows, maxRLERows)
 	}
+	switch kind {
+	case value.KindBool, value.KindInt64, value.KindFloat64, value.KindString:
+	default:
+		return nil, nil, fmt.Errorf("storage: rle page of kind %v", kind)
+	}
 	lens = make([]int, 0, nRuns)
 	vals = make([]value.Value, 0, nRuns)
 	total := 0
@@ -760,8 +708,6 @@ func getRLERuns(d *wire.Decoder, kind value.Kind, rows int) (lens []int, vals []
 				v = value.NewFloat(d.F64())
 			case value.KindString:
 				v = value.NewString(d.Str())
-			default:
-				return nil, nil, fmt.Errorf("storage: rle page of kind %v", kind)
 			}
 			if d.Err() != nil {
 				return nil, nil, d.Err()

@@ -59,10 +59,20 @@ func TestPageEncodingRoundtrip(t *testing.T) {
 	}
 }
 
+// materializePage decodes one page the way every read of a plain column
+// does: parsePageEncoded, then Materialize.
+func materializePage(b []byte, kind value.Kind, ctx pageCtx) (*table.Column, error) {
+	ec, err := parsePageEncoded(b, kind, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return ec.Materialize()
+}
+
 func checkPageRoundtrip(t *testing.T, name string, col *table.Column, enc uint8) {
 	t.Helper()
 	page := encodePage(col, enc, nil)
-	got, err := decodePage(page, col.Kind(), pageCtx{})
+	got, err := materializePage(page, col.Kind(), pageCtx{})
 	if err != nil {
 		t.Fatalf("%s/%s: decode: %v", name, encodingName(enc), err)
 	}
@@ -77,7 +87,7 @@ func checkPageRoundtrip(t *testing.T, name string, col *table.Column, enc uint8)
 	// Corrupt any byte: the page CRC must catch it.
 	bad := append([]byte(nil), page...)
 	bad[len(bad)/2] ^= 0x20
-	if _, err := decodePage(bad, col.Kind(), pageCtx{}); err == nil {
+	if _, err := materializePage(bad, col.Kind(), pageCtx{}); err == nil {
 		t.Fatalf("%s/%s: corrupted page decoded successfully", name, encodingName(enc))
 	}
 }
@@ -159,11 +169,11 @@ func TestMixedVersionSegments(t *testing.T) {
 
 	// Rewrite the first segment file in the v1 layout — exactly what a
 	// directory written by the previous release holds.
-	seg0, err := ReadSegmentFile(dir + "/" + refs[0].File)
+	seg0, err := ReadSegmentFile(dir+"/"+refs[0].File, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := atomicWriteFile(dir+"/"+refs[0].File, EncodeSegmentV1(seg0.Table)); err != nil {
+	if err := atomicWriteFile(dir+"/"+refs[0].File, EncodeSegmentV1(materializeSegment(t, seg0))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,15 +193,15 @@ func TestMixedVersionSegments(t *testing.T) {
 	// Projected reads work on both versions (v1 falls back to a full
 	// read; v2 fetches only the selected pages) and agree byte-for-byte.
 	for i, ref := range refs {
-		full, err := ReadSegmentFile(dir + "/" + ref.File)
+		full, err := ReadSegmentFile(dir+"/"+ref.File, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		proj, err := ReadSegmentFileColumns(dir+"/"+ref.File, []int{0, 2})
+		proj, err := ReadSegmentFile(dir+"/"+ref.File, []int{0, 2}, nil)
 		if err != nil {
 			t.Fatalf("segment %d projected read: %v", i, err)
 		}
-		if !table.EqualRows(full.Table.Project([]int{0, 2}), proj.Table) {
+		if !table.EqualRows(materializeSegment(t, full).Project([]int{0, 2}), materializeSegment(t, proj)) {
 			t.Fatalf("segment %d: projected read differs from full read", i)
 		}
 		if proj.FileBytes <= 0 || proj.FileBytes > full.FileBytes {
@@ -200,11 +210,25 @@ func TestMixedVersionSegments(t *testing.T) {
 	}
 
 	// And the v2 projected read is genuinely cheaper than the whole file.
-	full1, _ := ReadSegmentFile(dir + "/" + refs[1].File)
-	proj1, _ := ReadSegmentFileColumns(dir+"/"+refs[1].File, []int{0})
+	full1, _ := ReadSegmentFile(dir+"/"+refs[1].File, nil, nil)
+	proj1, _ := ReadSegmentFile(dir+"/"+refs[1].File, []int{0}, nil)
 	if proj1.FileBytes >= full1.FileBytes {
 		t.Fatalf("v2 projected read consumed %d bytes, full read %d — no byte savings", proj1.FileBytes, full1.FileBytes)
 	}
+}
+
+// materializeSegment decodes every column of an encoded segment read.
+func materializeSegment(t *testing.T, es *EncodedSegment) *table.Table {
+	t.Helper()
+	cols := make([]*table.Column, len(es.Cols))
+	for i, ec := range es.Cols {
+		col, err := ec.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols[i] = col
+	}
+	return table.MustNew(es.Schema, cols)
 }
 
 // TestSegmentHostilePageDirectory pins the decoder against a
@@ -244,7 +268,7 @@ func TestSegmentHostilePageDirectory(t *testing.T) {
 		e.U32(uint32(meta.Len()))
 		e.Raw(meta.Bytes())
 		e.U32(crc32.ChecksumIEEE(meta.Bytes()))
-		if _, err := DecodeSegment(e.Bytes()); err == nil {
+		if _, err := DecodeSegment(e.Bytes(), nil); err == nil {
 			t.Fatalf("%s: hostile page directory decoded successfully", hostile.name)
 		}
 		// The file-based projected reader must reject it too (and must
@@ -254,7 +278,7 @@ func TestSegmentHostilePageDirectory(t *testing.T) {
 		if err := atomicWriteFile(path, e.Bytes()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadSegmentFileColumns(path, []int{0}); err == nil {
+		if _, err := ReadSegmentFile(path, []int{0}, nil); err == nil {
 			t.Fatalf("%s: hostile page directory read successfully from file", hostile.name)
 		}
 	}
@@ -277,7 +301,7 @@ func TestRLEPageRowCap(t *testing.T) {
 	e.U32(uint32(payload.Len()))
 	e.Raw(payload.Bytes())
 	e.U32(crc32.ChecksumIEEE(e.Bytes()))
-	if _, err := decodePage(e.Bytes(), value.KindInt64, pageCtx{}); err == nil {
+	if _, err := materializePage(e.Bytes(), value.KindInt64, pageCtx{}); err == nil {
 		t.Fatal("hostile RLE row count decoded successfully")
 	}
 	// The writer never chooses RLE above the cap either (synthetic check
@@ -292,7 +316,7 @@ func TestRLEPageRowCap(t *testing.T) {
 func TestSegmentV1Roundtrip(t *testing.T) {
 	for _, tab := range []*table.Table{rowsTable(0, 100), rowsTable(0, 0), nullableTable()} {
 		data := EncodeSegmentV1(tab)
-		seg, err := DecodeSegment(data)
+		seg, err := DecodeSegment(data, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +329,7 @@ func TestSegmentV1Roundtrip(t *testing.T) {
 			}
 			bad := append([]byte(nil), data...)
 			bad[off] ^= 0x40
-			if _, err := DecodeSegment(bad); err == nil {
+			if _, err := DecodeSegment(bad, nil); err == nil {
 				t.Fatalf("corrupt v1 byte at %d decoded successfully", off)
 			}
 		}

@@ -497,29 +497,26 @@ func (e *Engine) accessTable(acc planner.ScanAccess) (*table.Table, bool, error)
 				skipped++
 				continue
 			}
+			// One read, plus the encoded pre-filter on a projected read
+			// with predicates: the conjuncts run over the pages and only
+			// survivors materialize. The stack above re-runs the full
+			// predicates, so this is safe even when acc.Preds is not the
+			// whole filter.
 			var t *table.Table
 			var err error
-			switch {
-			case positions != nil && len(acc.Preds) > 0 && e.encodedOn():
-				// Encoded pre-filter: evaluate the conjuncts over the
-				// pages and materialize only survivors. The stack above
-				// re-runs the full predicates, so this is safe even when
-				// acc.Preds is not the whole filter.
+			served := false
+			if positions != nil && len(acc.Preds) > 0 && e.encodedOn() {
 				var es *EncodedSegment
 				if es, err = e.st.ReadSegmentEncoded(name, ref, positions); err == nil {
-					var served bool
 					t, served, err = encodedFilterTable(es, acc.Preds)
-					if err == nil && served {
-						e.encodedScans.Add(1)
-						metEncodedScans.Inc()
-					} else if err == nil {
-						t, err = e.st.ReadSegmentColumns(name, ref, positions)
-					}
 				}
-			case positions != nil:
-				t, err = e.st.ReadSegmentColumns(name, ref, positions)
-			default:
-				t, err = e.st.ReadSegment(name, ref)
+				if served {
+					e.encodedScans.Add(1)
+					metEncodedScans.Inc()
+				}
+			}
+			if err == nil && !served {
+				t, err = e.st.readTable(name, ref, positions)
 			}
 			if err != nil {
 				return err

@@ -1,15 +1,18 @@
 package storage
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"nexus/internal/table"
 	"nexus/internal/value"
 )
 
-// FuzzSegment hardens the segment decoder against arbitrary bytes: it
-// must either return an error or a segment whose rows survive a
-// re-encode/decode round trip — never panic, never fabricate rows.
+// FuzzSegment hardens the segment readers against arbitrary bytes: the
+// in-memory decoder and the file reader must both either return an
+// error or the same segment, whose rows survive a re-encode/decode
+// round trip — never panic, never fabricate rows.
 func FuzzSegment(f *testing.F) {
 	f.Add(EncodeSegment(rowsTable(0, 10)))
 	f.Add(EncodeSegment(rowsTable(0, 0)))
@@ -47,25 +50,50 @@ func FuzzSegment(f *testing.F) {
 	flip[len(flip)/2] ^= 0xff
 	f.Add(flip)
 
+	// One scratch file per fuzz worker process; execs within a worker
+	// run one at a time.
+	path := filepath.Join(f.TempDir(), "seg.nxs")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The structural verifier and the dictionary-aware decoder see
 		// every input too: error or success, never a panic. A segment
 		// that decodes must agree with itself on the row count.
 		_ = VerifySegment(data)
-		if dseg, err := DecodeSegmentDicts(data, fuzzDicts); err == nil {
+		if dseg, err := DecodeSegment(data, fuzzDicts); err == nil {
 			if int64(dseg.Table.NumRows()) != dseg.Meta.Rows {
 				t.Fatalf("dict decode claims %d rows, table has %d", dseg.Meta.Rows, dseg.Table.NumRows())
 			}
 		}
-		seg, err := DecodeSegment(data)
+		// The file reader queries use has bounds checks of its own (page
+		// offsets past the header, page ranges within the file size). It
+		// must accept exactly what the in-memory decoder accepts, and
+		// agree with it column for column.
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		es, ferr := ReadSegmentFile(path, nil, nil)
+		seg, err := DecodeSegment(data, nil)
+		if (ferr == nil) != (err == nil) {
+			t.Fatalf("file reader error %v, in-memory decoder error %v", ferr, err)
+		}
 		if err != nil {
 			return
+		}
+		if len(es.Cols) != seg.Table.NumCols() || es.Meta.Rows != seg.Meta.Rows {
+			t.Fatalf("file reader read %d columns of %d rows, decoder %d of %d",
+				len(es.Cols), es.Meta.Rows, seg.Table.NumCols(), seg.Meta.Rows)
+		}
+		for c, ec := range es.Cols {
+			col, err := ec.Materialize()
+			if err != nil {
+				t.Fatalf("file reader column %d: %v", c, err)
+			}
+			colEq(t, seg.Table.Col(c), col, "file reader vs decoder")
 		}
 		// Anything that decodes must be internally consistent.
 		if int64(seg.Table.NumRows()) != seg.Meta.Rows {
 			t.Fatalf("decoded segment claims %d rows, table has %d", seg.Meta.Rows, seg.Table.NumRows())
 		}
-		re2, err := DecodeSegment(EncodeSegment(seg.Table))
+		re2, err := DecodeSegment(EncodeSegment(seg.Table), nil)
 		if err != nil {
 			t.Fatalf("re-encoded segment fails to decode: %v", err)
 		}

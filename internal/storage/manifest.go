@@ -268,20 +268,24 @@ func readCurrentManifest(dir string) (*Manifest, error) {
 	return m, nil
 }
 
+// segmentFiles returns the set of segment files the manifest references.
+func (m *Manifest) segmentFiles() map[string]bool {
+	files := map[string]bool{}
+	for _, ds := range m.Datasets {
+		for _, ref := range ds.Segments {
+			files[ref.File] = true
+		}
+	}
+	return files
+}
+
 // collectGarbage removes files a crash orphaned: segments no manifest
 // references, manifests older than the live one, and WALs of dead
 // generations. Called once on open, after recovery settles.
 func collectGarbage(dir string, m *Manifest) {
-	live := map[string]bool{
-		"CURRENT":              true,
-		manifestName(m.Gen):    true,
-		walName(m.WalGen):      true,
-		filepath.Base(ckptDir): true,
-	}
-	for _, ds := range m.Datasets {
-		for _, s := range ds.Segments {
-			live[s.File] = true
-		}
+	live := m.segmentFiles()
+	for _, name := range []string{"CURRENT", manifestName(m.Gen), walName(m.WalGen), filepath.Base(ckptDir)} {
+		live[name] = true
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

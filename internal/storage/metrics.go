@@ -41,7 +41,7 @@ var (
 		"File bytes of segments produced by compaction.")
 
 	metSegCache = obs.Default.CounterVec("nexus_storage_segment_cache_total",
-		"Decoded-segment cache lookups by result.", "result")
+		"Page-cache lookups by result, one per segment read: hit when every page it needs is cached.", "result")
 	metSegCacheHit  = metSegCache.With("hit")
 	metSegCacheMiss = metSegCache.With("miss")
 

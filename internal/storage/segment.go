@@ -27,7 +27,6 @@ package storage
 import (
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -108,9 +107,8 @@ type SegmentMeta struct {
 	Zones      []ZoneMap // one per column
 }
 
-// Segment is a decoded segment: its rows plus the footer metadata.
-// FileBytes is how many bytes the reader actually consumed — the whole
-// file for full reads, header+meta+selected pages for projected reads.
+// Segment is a fully decoded segment (DecodeSegment): its rows plus the
+// footer metadata. FileBytes is the size of the encoding it came from.
 type Segment struct {
 	Table     *table.Table
 	Meta      SegmentMeta
@@ -332,97 +330,237 @@ func EncodeSegmentV1(t *table.Table) []byte {
 	return e.Bytes()
 }
 
-// DecodeSegment parses and verifies a segment encoding of any supported
-// version. Every failure mode — bad magic, bad version, truncation, CRC
-// mismatch, footer disagreeing with the pages — is an error, never a
+// DecodeSegment parses and verifies a whole in-memory segment encoding
+// of any supported version, resolving PageEncDictShared pages through
+// dicts (the dataset's shared dictionaries). A nil set decodes every
+// pre-v3 segment; v3 segments then fail with a descriptive error rather
+// than misread. Every failure mode — bad magic, bad version, truncation,
+// CRC mismatch, footer disagreeing with the pages — is an error, never a
 // panic: the fuzz target FuzzSegment feeds this arbitrary bytes.
-func DecodeSegment(b []byte) (*Segment, error) {
-	return DecodeSegmentDicts(b, nil)
-}
-
-// DecodeSegmentDicts decodes a segment resolving PageEncDictShared pages
-// through dicts (the dataset's shared dictionaries). A nil set decodes
-// every pre-v3 segment; v3 segments then fail with a descriptive error
-// rather than misread.
-func DecodeSegmentDicts(b []byte, dicts DictSet) (*Segment, error) {
-	ver, err := segmentVersion(b)
+func DecodeSegment(b []byte, dicts DictSet) (*Segment, error) {
+	lay, ecols, _, err := parseSegment(int64(len(b)), sliceAt(b), nil, nil, dicts, false)
 	if err != nil {
 		return nil, err
 	}
-	switch ver {
-	case segVersionV1:
-		return decodeSegmentV1(b)
-	case segVersion, segVersionV3:
-		return decodeSegmentV2(b, dicts)
+	cols := make([]*table.Column, len(ecols))
+	for i, ec := range ecols {
+		if cols[i], err = ec.Materialize(); err != nil {
+			return nil, fmt.Errorf("storage: column %d (%s): %w", i, lay.sch.At(i).Name, err)
+		}
 	}
-	return nil, fmt.Errorf("storage: unsupported segment version %d", ver)
+	t, err := table.New(lay.sch, cols)
+	if err != nil {
+		return nil, fmt.Errorf("storage: %w", err)
+	}
+	return &Segment{Table: t, Meta: lay.meta, FileBytes: int64(len(b))}, nil
 }
 
 // VerifySegment structurally verifies a segment encoding without needing
 // shared dictionaries: every CRC, every framing rule, and every code
-// bound is checked, but PageEncDictShared pages are not materialized (and
+// bound is checked, but PageEncDictShared pages are not resolved (and
 // their epoch is not compared — the dictionary may not have arrived yet).
 // Replication uses this to vet a fetched segment file before the manifest
 // generation carrying its dictionary has been applied.
 func VerifySegment(b []byte) error {
-	ver, err := segmentVersion(b)
-	if err != nil {
-		return err
-	}
-	if ver == segVersionV1 {
-		_, err := decodeSegmentV1(b)
-		return err
-	}
-	if ver != segVersion && ver != segVersionV3 {
-		return fmt.Errorf("storage: unsupported segment version %d", ver)
-	}
-	sch, meta, refs, err := decodeSegmentMetaV2(b[segHeaderLen:], headerMetaLen(b))
-	if err != nil {
-		return err
-	}
-	for c, ref := range refs {
-		if ref.off < 0 || ref.length < 0 || ref.off > int64(len(b)) || int64(ref.length) > int64(len(b))-ref.off {
-			return fmt.Errorf("storage: column %d page [%d,+%d) exceeds file of %d bytes", c, ref.off, ref.length, len(b))
-		}
-		ctx := pageCtx{col: sch.At(c).Name, structural: true}
-		col, err := decodePage(b[ref.off:ref.off+int64(ref.length)], sch.At(c).Kind, ctx)
-		if err != nil {
-			return fmt.Errorf("storage: column %d (%s): %w", c, sch.At(c).Name, err)
-		}
-		if col != nil && int64(col.Len()) != meta.Rows {
-			return fmt.Errorf("storage: column %d holds %d rows, footer says %d", c, col.Len(), meta.Rows)
-		}
-	}
-	return nil
+	_, _, _, err := parseSegment(int64(len(b)), sliceAt(b), nil, nil, nil, true)
+	return err
 }
 
 // SegmentPageEncodings reports the page encoding of every column of a
 // v2/v3 segment encoding, in schema order (tests and the storage bench
 // use it to assert what a writer actually chose).
 func SegmentPageEncodings(b []byte) ([]uint8, error) {
-	ver, err := segmentVersion(b)
+	lay, cols, _, err := parseSegment(int64(len(b)), sliceAt(b), nil, nil, nil, true)
 	if err != nil {
 		return nil, err
 	}
-	if ver != segVersion && ver != segVersionV3 {
-		return nil, fmt.Errorf("storage: segment version %d has no page directory", ver)
+	if lay.refs == nil {
+		return nil, fmt.Errorf("storage: segment version %d has no page directory", segVersionV1)
 	}
-	_, _, refs, err := decodeSegmentMetaV2(b[segHeaderLen:], headerMetaLen(b))
-	if err != nil {
-		return nil, err
-	}
-	encs := make([]uint8, len(refs))
-	for c, ref := range refs {
-		if ref.off < 0 || ref.length < 0 || ref.off > int64(len(b)) || int64(ref.length) > int64(len(b))-ref.off {
-			return nil, fmt.Errorf("storage: column %d page [%d,+%d) exceeds file of %d bytes", c, ref.off, ref.length, len(b))
-		}
-		enc, _, _, err := parsePageHeader(b[ref.off : ref.off+int64(ref.length)])
-		if err != nil {
-			return nil, fmt.Errorf("storage: column %d: %w", c, err)
-		}
-		encs[c] = enc
+	encs := make([]uint8, len(cols))
+	for c, ec := range cols {
+		encs[c] = ec.Encoding()
 	}
 	return encs, nil
+}
+
+// ReadSegmentFile reads the given column positions of a segment file
+// (nil = every column; positions index the file's full schema), each
+// page parsed and verified but left encoded (see EncodedColumn) —
+// Materialize decodes one where a plain column is needed. A v2/v3 file
+// yields just its header, meta block and the selected pages, and
+// FileBytes reports exactly the bytes consumed, which is how projected
+// cold scans demonstrably read less. A v1 file has no page directory, so
+// it is read whole and its selected columns wrapped as plain views. The
+// returned segment's Schema, Meta.Zones and Cols cover only the selected
+// columns, in the given order.
+func ReadSegmentFile(path string, positions []int, dicts DictSet) (*EncodedSegment, error) {
+	lay, cols, n, err := readSegmentFile(path, nil, positions, dicts)
+	if err != nil {
+		return nil, err
+	}
+	if positions == nil {
+		positions = allColumns(lay.sch.Len())
+	}
+	return lay.segment(positions, cols, n), nil
+}
+
+// readSegmentFile runs parseSegment over a file, reading the header and
+// meta block (unless lay already carries them) and the selected pages.
+func readSegmentFile(path string, lay *segLayout, positions []int, dicts DictSet) (*segLayout, []*EncodedColumn, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("storage: read segment: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
+	}
+	read := func(off int64, n int) ([]byte, error) {
+		b := make([]byte, n)
+		_, err := f.ReadAt(b, off)
+		return b, err
+	}
+	lay, cols, n, err := parseSegment(fi.Size(), read, lay, positions, dicts, false)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
+	}
+	return lay, cols, n, nil
+}
+
+// segLayout is a segment's verified meta block: schema, footer and page
+// directory. The store's page cache shares one layout among every cached
+// page of a file, so a read that misses some pages fetches only those.
+// refs is nil for a v1 segment, which has no page directory.
+type segLayout struct {
+	sch  schema.Schema
+	meta SegmentMeta
+	refs []pageRef
+}
+
+// segment assembles the EncodedSegment of the given positions from their
+// parsed pages.
+func (l *segLayout) segment(positions []int, cols []*EncodedColumn, fileBytes int64) *EncodedSegment {
+	zones := make([]ZoneMap, len(positions))
+	for i, c := range positions {
+		zones[i] = l.meta.Zones[c]
+	}
+	return &EncodedSegment{
+		Schema:    l.sch.Project(positions),
+		Cols:      cols,
+		Meta:      SegmentMeta{SchemaHash: l.meta.SchemaHash, Rows: l.meta.Rows, Zones: zones},
+		FileBytes: fileBytes,
+	}
+}
+
+// allColumns returns the positions of a full-width read of n columns.
+func allColumns(n int) []int {
+	positions := make([]int, n)
+	for i := range positions {
+		positions[i] = i
+	}
+	return positions
+}
+
+// sliceAt reads an in-memory segment encoding in place.
+func sliceAt(b []byte) func(off int64, n int) ([]byte, error) {
+	return func(off int64, n int) ([]byte, error) { return b[off : off+int64(n)], nil }
+}
+
+// parseSegment is the one segment parser under every read. read(off, n)
+// returns n bytes at off of an encoding of size bytes; every range is
+// bounded by size before it is asked for. Unless lay (verified by an
+// earlier read of the same file) already carries the page directory, the
+// header and meta block are read and verified first. Then the pages at
+// positions (nil = every column) are parsed through parsePageEncoded and
+// checked against the footer; structural skips resolving shared-dict
+// pages (see VerifySegment). A v1 segment has no page directory: it is
+// read and decoded whole and its selected columns wrapped as plain
+// views. It returns the layout, the pages in positions order, and the
+// bytes read. Every malformed input is an error, never a panic.
+func parseSegment(size int64, read func(off int64, n int) ([]byte, error), lay *segLayout, positions []int, dicts DictSet, structural bool) (*segLayout, []*EncodedColumn, int64, error) {
+	fail := func(err error) (*segLayout, []*EncodedColumn, int64, error) { return nil, nil, 0, err }
+	var n int64
+	var v1 *table.Table
+	if lay == nil || lay.refs == nil {
+		if size < segHeaderLen {
+			return fail(fmt.Errorf("storage: segment too short (%d bytes)", size))
+		}
+		header, err := read(0, segHeaderLen)
+		if err != nil {
+			return fail(fmt.Errorf("storage: short header: %w", err))
+		}
+		ver, err := segmentVersion(header)
+		if err != nil {
+			return fail(err)
+		}
+		switch ver {
+		case segVersionV1:
+			b, err := read(0, int(size))
+			if err != nil {
+				return fail(fmt.Errorf("storage: short segment: %w", err))
+			}
+			seg, err := decodeSegmentV1(b)
+			if err != nil {
+				return fail(err)
+			}
+			v1, n = seg.Table, size
+			lay = &segLayout{sch: v1.Schema(), meta: seg.Meta}
+		case segVersion, segVersionV3:
+			metaLen := headerMetaLen(header)
+			if int64(metaLen) > size-segHeaderLen-4 {
+				return fail(fmt.Errorf("storage: segment meta length %d exceeds file", metaLen))
+			}
+			buf, err := read(segHeaderLen, metaLen+4)
+			if err != nil {
+				return fail(fmt.Errorf("storage: short meta: %w", err))
+			}
+			sch, meta, refs, err := decodeSegmentMetaV2(buf, metaLen)
+			if err != nil {
+				return fail(err)
+			}
+			lay, n = &segLayout{sch: sch, meta: meta, refs: refs}, int64(segHeaderLen+len(buf))
+		default:
+			return fail(fmt.Errorf("storage: unsupported segment version %d", ver))
+		}
+	}
+	if positions == nil {
+		positions = allColumns(lay.sch.Len())
+	}
+	cols := make([]*EncodedColumn, len(positions))
+	for i, c := range positions {
+		if c < 0 || c >= lay.sch.Len() {
+			return fail(fmt.Errorf("storage: projected column %d out of %d", c, lay.sch.Len()))
+		}
+		if v1 != nil {
+			cols[i] = encodedFromColumn(v1.Col(c))
+			continue
+		}
+		ref, attr := lay.refs[c], lay.sch.At(c)
+		// Bound the page against the real size before reading it — a
+		// corrupt directory must fail the read, not OOM it — with each
+		// term checked before the subtraction, so a hostile off/length
+		// pair cannot wrap int64 past the check.
+		if ref.off < segHeaderLen || ref.length < 0 || ref.off > size || int64(ref.length) > size-ref.off {
+			return fail(fmt.Errorf("storage: column %d page [%d,+%d) exceeds segment of %d bytes", c, ref.off, ref.length, size))
+		}
+		page, err := read(ref.off, ref.length)
+		if err != nil {
+			return fail(fmt.Errorf("storage: column %d page: %w", c, err))
+		}
+		n += int64(ref.length)
+		ctx := pageCtx{col: attr.Name, dict: dicts[attr.Name], structural: structural}
+		col, err := parsePageEncoded(page, attr.Kind, ctx)
+		if err != nil {
+			return fail(fmt.Errorf("storage: column %d (%s): %w", c, attr.Name, err))
+		}
+		if int64(col.Rows()) != lay.meta.Rows {
+			return fail(fmt.Errorf("storage: column %d holds %d rows, footer says %d", c, col.Rows(), lay.meta.Rows))
+		}
+		cols[i] = col
+	}
+	return lay, cols, n, nil
 }
 
 // segmentVersion checks the magic and returns the version byte.
@@ -469,41 +607,6 @@ func decodeSegmentV1(b []byte) (*Segment, error) {
 	}
 	if meta.Zones == nil && t.NumCols() > 0 {
 		return nil, fmt.Errorf("storage: segment footer has no zone maps")
-	}
-	if err := checkSegmentMeta(meta, t); err != nil {
-		return nil, err
-	}
-	return &Segment{Table: t, Meta: meta, FileBytes: int64(len(b))}, nil
-}
-
-// decodeSegmentV2 parses the paged layout (v2 and v3 — same bytes, v3
-// may hold shared-dict pages resolved through dicts) from a fully-read
-// file.
-func decodeSegmentV2(b []byte, dicts DictSet) (*Segment, error) {
-	sch, meta, refs, err := decodeSegmentMetaV2(b[segHeaderLen:], headerMetaLen(b))
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]*table.Column, len(refs))
-	for c, ref := range refs {
-		// Each term is bounded before the subtraction so a hostile
-		// off/length pair cannot wrap int64 past the slice check.
-		if ref.off < 0 || ref.length < 0 || ref.off > int64(len(b)) || int64(ref.length) > int64(len(b))-ref.off {
-			return nil, fmt.Errorf("storage: column %d page [%d,+%d) exceeds file of %d bytes", c, ref.off, ref.length, len(b))
-		}
-		ctx := pageCtx{col: sch.At(c).Name, dict: dicts[sch.At(c).Name]}
-		col, err := decodePage(b[ref.off:ref.off+int64(ref.length)], sch.At(c).Kind, ctx)
-		if err != nil {
-			return nil, fmt.Errorf("storage: column %d (%s): %w", c, sch.At(c).Name, err)
-		}
-		if int64(col.Len()) != meta.Rows {
-			return nil, fmt.Errorf("storage: column %d holds %d rows, footer says %d", c, col.Len(), meta.Rows)
-		}
-		cols[c] = col
-	}
-	t, err := table.New(sch, cols)
-	if err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
 	}
 	if err := checkSegmentMeta(meta, t); err != nil {
 		return nil, err
@@ -560,8 +663,8 @@ func decodeSegmentMetaV2(b []byte, metaLen int) (schema.Schema, SegmentMeta, []p
 	if len(sm.Zones) != ncols {
 		return fail(fmt.Errorf("storage: segment footer has %d zone maps for %d columns", len(sm.Zones), ncols))
 	}
-	if sm.Rows < 0 {
-		return fail(fmt.Errorf("storage: segment footer claims %d rows", sm.Rows))
+	if sm.Rows < 0 || (ncols == 0 && sm.Rows != 0) {
+		return fail(fmt.Errorf("storage: segment footer claims %d rows over %d columns", sm.Rows, ncols))
 	}
 	if sm.SchemaHash != SchemaHash(sch) {
 		return fail(fmt.Errorf("storage: segment footer schema hash disagrees with schema"))
@@ -587,197 +690,27 @@ func checkSegmentMeta(meta SegmentMeta, t *table.Table) error {
 // WriteSegmentFile writes a table as a segment under dir, atomically
 // (temp file + fsync + rename), returning the metadata for the catalog.
 func WriteSegmentFile(dir, name string, t *table.Table) (SegmentMeta, error) {
-	return WriteSegmentFileDict(dir, name, t, nil, false)
-}
-
-// WriteSegmentFileDict is WriteSegmentFile encoding against (and, with
-// grow, extending) the dataset's shared dictionaries.
-func WriteSegmentFileDict(dir, name string, t *table.Table, dicts DictSet, grow bool) (SegmentMeta, error) {
-	data := EncodeSegmentDict(t, dicts, grow)
-	if err := atomicWriteFile(filepath.Join(dir, name), data); err != nil {
+	lay, err := writeSegmentFile(dir, name, t, nil, false)
+	if err != nil {
 		return SegmentMeta{}, err
 	}
-	return SegmentMeta{
-		SchemaHash: SchemaHash(t.Schema()),
-		Rows:       int64(t.NumRows()),
-		Zones:      ComputeZones(t),
-	}, nil
+	return lay.meta, nil
 }
 
-// ReadSegmentFile reads and fully verifies one segment file.
-func ReadSegmentFile(path string) (*Segment, error) {
-	return ReadSegmentFileDicts(path, nil)
-}
-
-// ReadSegmentFileDicts is ReadSegmentFile resolving shared-dict pages
-// through the dataset's dictionaries.
-func ReadSegmentFileDicts(path string, dicts DictSet) (*Segment, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: read segment: %w", err)
-	}
-	seg, err := DecodeSegmentDicts(data, dicts)
-	if err != nil {
-		return nil, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
-	}
-	return seg, nil
-}
-
-// ReadSegmentFileColumns reads only the named column positions of a
-// segment file (positions index the segment's full schema, ascending).
-// For a v2 segment this fetches the header, the meta block, and the
-// selected pages — the returned Segment's FileBytes reports exactly the
-// bytes consumed, which is how the benchmarks demonstrate projected
-// cold scans reading less. A v1 segment has no page directory, so it is
-// read whole and projected in memory (correct, just not cheaper). The
-// returned Segment's Table and Meta.Zones cover only the selected
-// columns, in the given order.
-func ReadSegmentFileColumns(path string, positions []int) (*Segment, error) {
-	return ReadSegmentFileColumnsDicts(path, positions, nil)
-}
-
-// ReadSegmentFileColumnsDicts is ReadSegmentFileColumns resolving
-// shared-dict pages through the dataset's dictionaries. It is the
-// materializing wrapper over the encoded read: every page is decoded to
-// a plain column.
-func ReadSegmentFileColumnsDicts(path string, positions []int, dicts DictSet) (*Segment, error) {
-	es, err := ReadSegmentFileColumnsEncoded(path, positions, dicts)
-	if err != nil {
+// writeSegmentFile is WriteSegmentFile encoding against (and, with grow,
+// extending) the dataset's shared dictionaries. It returns the written
+// file's layout, parsed back from the encoded meta block, so a flush can
+// cache the table's columns as the file's pages.
+func writeSegmentFile(dir, name string, t *table.Table, dicts DictSet, grow bool) (*segLayout, error) {
+	data := EncodeSegmentDict(t, dicts, grow)
+	if err := atomicWriteFile(filepath.Join(dir, name), data); err != nil {
 		return nil, err
 	}
-	cols := make([]*table.Column, len(es.Cols))
-	for i, ec := range es.Cols {
-		if cols[i], err = ec.Materialize(); err != nil {
-			return nil, fmt.Errorf("storage: %s: column %s: %w", filepath.Base(path), es.Schema.At(i).Name, err)
-		}
-	}
-	t, err := table.New(es.Schema, cols)
+	sch, meta, refs, err := decodeSegmentMetaV2(data[segHeaderLen:], headerMetaLen(data))
 	if err != nil {
-		return nil, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("storage: %s: %w", name, err)
 	}
-	return &Segment{Table: t, Meta: es.Meta, FileBytes: es.FileBytes}, nil
-}
-
-// ReadSegmentFileColumnsEncoded reads only the named column positions of
-// a segment file, leaving each page in its encoded form (see
-// EncodedColumn) — the entry point of encoded execution, where
-// predicates run over runs and dictionary codes before any row is
-// materialized. Framing, CRCs and code bounds are verified exactly as a
-// decoding read would. A v1 segment has no page directory and no
-// compressed pages, so it is read whole and its projected columns
-// wrapped as plain views.
-func ReadSegmentFileColumnsEncoded(path string, positions []int, dicts DictSet) (*EncodedSegment, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: read segment: %w", err)
-	}
-	defer f.Close()
-
-	header := make([]byte, segHeaderLen)
-	if _, err := io.ReadFull(f, header); err != nil {
-		return nil, fmt.Errorf("storage: %s: short header: %w", filepath.Base(path), err)
-	}
-	ver, err := segmentVersion(header)
-	if err != nil {
-		return nil, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
-	}
-	if ver == segVersionV1 {
-		// No page directory: fall back to a full read + in-memory project.
-		seg, err := ReadSegmentFile(path)
-		if err != nil {
-			return nil, err
-		}
-		proj, err := projectSegment(seg, positions)
-		if err != nil {
-			return nil, err
-		}
-		ecols := make([]*EncodedColumn, proj.Table.NumCols())
-		for i := range ecols {
-			ecols[i] = encodedFromColumn(proj.Table.Col(i))
-		}
-		return &EncodedSegment{
-			Schema:    proj.Table.Schema(),
-			Cols:      ecols,
-			Meta:      proj.Meta,
-			FileBytes: proj.FileBytes,
-		}, nil
-	}
-	if ver != segVersion && ver != segVersionV3 {
-		return nil, fmt.Errorf("storage: %s: unsupported segment version %d", filepath.Base(path), ver)
-	}
-
-	metaLen := headerMetaLen(header)
-	if metaLen < 0 || metaLen > 1<<30 {
-		return nil, fmt.Errorf("storage: %s: implausible meta length %d", filepath.Base(path), metaLen)
-	}
-	metaBuf := make([]byte, metaLen+4)
-	if _, err := io.ReadFull(f, metaBuf); err != nil {
-		return nil, fmt.Errorf("storage: %s: short meta: %w", filepath.Base(path), err)
-	}
-	sch, meta, refs, err := decodeSegmentMetaV2(metaBuf, metaLen)
-	if err != nil {
-		return nil, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
-	}
-
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
-	}
-	bytesRead := int64(segHeaderLen + len(metaBuf))
-	cols := make([]*EncodedColumn, len(positions))
-	zones := make([]ZoneMap, len(positions))
-	for i, c := range positions {
-		if c < 0 || c >= len(refs) {
-			return nil, fmt.Errorf("storage: %s: projected column %d out of %d", filepath.Base(path), c, len(refs))
-		}
-		ref := refs[c]
-		// Bound the page against the real file size before allocating —
-		// a corrupt directory must fail the read, not OOM it (and the
-		// subtraction form cannot wrap like off+length could).
-		if ref.off < int64(segHeaderLen) || ref.length < 0 || ref.off > fi.Size() || int64(ref.length) > fi.Size()-ref.off {
-			return nil, fmt.Errorf("storage: %s: column %d page [%d,+%d) malformed", filepath.Base(path), c, ref.off, ref.length)
-		}
-		page := make([]byte, ref.length)
-		if _, err := f.ReadAt(page, ref.off); err != nil {
-			return nil, fmt.Errorf("storage: %s: column %d page: %w", filepath.Base(path), c, err)
-		}
-		bytesRead += int64(ref.length)
-		ctx := pageCtx{col: sch.At(c).Name, dict: dicts[sch.At(c).Name]}
-		col, err := parsePageEncoded(page, sch.At(c).Kind, ctx)
-		if err != nil {
-			return nil, fmt.Errorf("storage: %s: column %d (%s): %w", filepath.Base(path), c, sch.At(c).Name, err)
-		}
-		if int64(col.Rows()) != meta.Rows {
-			return nil, fmt.Errorf("storage: %s: column %d holds %d rows, footer says %d", filepath.Base(path), c, col.Rows(), meta.Rows)
-		}
-		cols[i] = col
-		zones[i] = meta.Zones[c]
-	}
-	return &EncodedSegment{
-		Schema:    sch.Project(positions),
-		Cols:      cols,
-		Meta:      SegmentMeta{SchemaHash: meta.SchemaHash, Rows: meta.Rows, Zones: zones},
-		FileBytes: bytesRead,
-	}, nil
-}
-
-// projectSegment narrows a fully-decoded segment to the given column
-// positions (the v1 fallback path of ReadSegmentFileColumns).
-func projectSegment(seg *Segment, positions []int) (*Segment, error) {
-	for _, c := range positions {
-		if c < 0 || c >= seg.Table.NumCols() {
-			return nil, fmt.Errorf("storage: projected column %d out of %d", c, seg.Table.NumCols())
-		}
-	}
-	zones := make([]ZoneMap, len(positions))
-	for i, c := range positions {
-		zones[i] = seg.Meta.Zones[c]
-	}
-	return &Segment{
-		Table:     seg.Table.Project(positions),
-		Meta:      SegmentMeta{SchemaHash: seg.Meta.SchemaHash, Rows: seg.Meta.Rows, Zones: zones},
-		FileBytes: seg.FileBytes,
-	}, nil
+	return &segLayout{sch: sch, meta: meta, refs: refs}, nil
 }
 
 // atomicWriteFile writes data to path via a temp file in the same

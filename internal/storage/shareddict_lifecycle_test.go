@@ -246,7 +246,7 @@ func TestCompactionRebuildBumpsDictEpoch(t *testing.T) {
 	}
 
 	// Old-epoch segment vs new dictionaries: refused as stale.
-	if _, err := DecodeSegmentDicts(oldRaw, st.SharedDicts("d")); !isStaleDict(err) {
+	if _, err := DecodeSegment(oldRaw, st.SharedDicts("d")); !isStaleDict(err) {
 		t.Fatalf("old-epoch segment decoded as %v, want stale-dict refusal", err)
 	}
 

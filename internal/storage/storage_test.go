@@ -32,7 +32,7 @@ func rowsTable(lo, hi int64) *table.Table {
 func TestSegmentRoundtrip(t *testing.T) {
 	in := rowsTable(0, 100)
 	data := EncodeSegment(in)
-	seg, err := DecodeSegment(data)
+	seg, err := DecodeSegment(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +50,13 @@ func TestSegmentRoundtrip(t *testing.T) {
 	for _, off := range []int{len(segMagic) + 6, len(data) / 2, len(data) - 3} {
 		bad := append([]byte(nil), data...)
 		bad[off] ^= 0x40
-		if _, err := DecodeSegment(bad); err == nil {
+		if _, err := DecodeSegment(bad, nil); err == nil {
 			t.Fatalf("corrupt byte at %d decoded successfully", off)
 		}
 	}
 	// Truncations must fail too.
 	for _, n := range []int{0, 4, len(data) - 1} {
-		if _, err := DecodeSegment(data[:n]); err == nil {
+		if _, err := DecodeSegment(data[:n], nil); err == nil {
 			t.Fatalf("truncated to %d decoded successfully", n)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -33,16 +32,15 @@ type Store struct {
 	mu      sync.RWMutex
 	man     *Manifest
 	wal     *WAL
-	tails   map[string]*tail           // unflushed rows per dataset
-	segs    map[string]*table.Table    // decoded segment cache: file (full) or file+cols (projected)
-	encs    map[string]*EncodedSegment // encoded-view cache: file+cols, pages parsed but not materialized
-	nextSeg uint64                     // next segment file number (flushes and compactions share it)
+	tails   map[string]*tail        // unflushed rows per dataset
+	pages   map[pageKey]*cachedPage // page cache: one entry per (segment file, column)
+	nextSeg uint64                  // next segment file number (flushes and compactions share it)
 	closed  bool
 	replica bool // replica mode: local mutations refused, manifests applied from a primary
 
-	// cacheGen is bumped whenever compaction purges cache entries, so a
-	// read that raced the purge (decoded a file the swap just deleted)
-	// knows not to re-insert the dead entry. Guarded by mu.
+	// cacheGen is bumped by every page-cache purge, so a read that raced
+	// the purge (parsed a file the swap just deleted) knows not to
+	// re-insert the dead pages. Guarded by mu.
 	cacheGen uint64
 
 	// bytesRead counts the segment-file bytes scans actually consumed;
@@ -105,8 +103,7 @@ func Open(dir string) (*Store, error) {
 		dir:     dir,
 		man:     man,
 		tails:   map[string]*tail{},
-		segs:    map[string]*table.Table{},
-		encs:    map[string]*EncodedSegment{},
+		pages:   map[pageKey]*cachedPage{},
 		nextSeg: man.NextSeg,
 	}
 	walPath := filepath.Join(dir, walName(man.WalGen))
@@ -456,115 +453,207 @@ func (s *Store) dictsLocked(name string) DictSet {
 	return nil
 }
 
-// ReadSegment materializes one segment by manifest reference, serving
-// repeat reads from an in-memory cache (the warm path). The cache is
-// sound because segments are immutable. The dataset name resolves the
-// shared dictionaries v3 pages decode through.
+// pageKey addresses one column page of one segment file: the unit of
+// the store's page cache.
+type pageKey struct {
+	file string
+	col  int
+}
+
+// cachedPage is one cached column page. Its two halves fill lazily, each
+// only by the kind of read that needs it: enc (parsed, not materialized)
+// by encoded reads, dec (a plain column) by decoding reads. Segments are
+// immutable, so both stay valid until the file is deleted and purged.
+// lay is the file's verified meta block, shared by its cached pages.
+type cachedPage struct {
+	lay *segLayout
+	enc *EncodedColumn
+	dec *table.Column
+}
+
+// ReadSegment materializes one whole segment by manifest reference
+// through the page cache (see readPages); repeat reads are served from
+// memory — the warm path. The dataset name resolves the shared
+// dictionaries v3 pages decode through.
 func (s *Store) ReadSegment(dataset string, ref SegmentRef) (*table.Table, error) {
-	s.mu.RLock()
-	t, ok := s.segs[ref.File]
-	gen := s.cacheGen
-	dicts := s.dictsLocked(dataset)
-	s.mu.RUnlock()
-	if ok {
-		metSegCacheHit.Inc()
-		return t, nil
-	}
-	metSegCacheMiss.Inc()
-	seg, err := ReadSegmentFileDicts(filepath.Join(s.dir, ref.File), dicts)
+	return s.readTable(dataset, ref, nil)
+}
+
+// readTable materializes the given column positions of a segment (nil =
+// every column) through the page cache.
+func (s *Store) readTable(dataset string, ref SegmentRef, positions []int) (*table.Table, error) {
+	lay, resolved, pages, _, err := s.readPages(dataset, ref, positions, true)
 	if err != nil {
 		return nil, err
 	}
-	metBytesReadFull.Add(seg.FileBytes)
-	s.cacheInsert(ref.File, seg.Table, gen, seg.FileBytes)
-	return seg.Table, nil
-}
-
-// ReadSegmentColumns materializes only the given column positions of a
-// segment (the projected cold-scan path): a v2 segment file yields just
-// its header, meta block and the selected pages; a v1 file is read
-// whole and projected. Projections are cached separately from full
-// reads — both are immutable — and a cached full table short-circuits
-// to an in-memory projection.
-func (s *Store) ReadSegmentColumns(dataset string, ref SegmentRef, positions []int) (*table.Table, error) {
-	key := ref.File + "?" + colsKey(positions)
-	s.mu.RLock()
-	t, ok := s.segs[key]
-	full, fullOK := s.segs[ref.File]
-	gen := s.cacheGen
-	dicts := s.dictsLocked(dataset)
-	s.mu.RUnlock()
-	if ok || fullOK {
-		metSegCacheHit.Inc()
-		if ok {
-			return t, nil
-		}
-		return full.Project(positions), nil
+	cols := make([]*table.Column, len(pages))
+	for i := range pages {
+		cols[i] = pages[i].dec
 	}
-	metSegCacheMiss.Inc()
-	seg, err := ReadSegmentFileColumnsDicts(filepath.Join(s.dir, ref.File), positions, dicts)
+	sch := lay.sch
+	if positions != nil {
+		sch = sch.Project(resolved)
+	}
+	t, err := table.New(sch, cols)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("storage: %s: %w", ref.File, err)
 	}
-	metBytesReadProjected.Add(seg.FileBytes)
-	s.cacheInsert(key, seg.Table, gen, seg.FileBytes)
-	return seg.Table, nil
+	return t, nil
 }
 
-// ReadSegmentEncoded reads only the given column positions of a segment
-// in encoded form — pages parsed and verified but not materialized, so
-// predicates can run over runs and dictionary codes first. Encoded views
-// are immutable (dictionary growth is append-only within an epoch, and a
-// rebuild deletes the referencing files) and cached like decoded ones.
+// ReadSegmentEncoded reads the given column positions of a segment (nil
+// = every column) in encoded form through the page cache — pages parsed
+// and verified but not materialized, so predicates can run over runs and
+// dictionary codes first. Encoded views are immutable (dictionary growth
+// is append-only within an epoch, and a rebuild deletes the referencing
+// files). FileBytes is what this call read from disk.
 func (s *Store) ReadSegmentEncoded(dataset string, ref SegmentRef, positions []int) (*EncodedSegment, error) {
-	key := ref.File + "?" + colsKey(positions)
-	s.mu.RLock()
-	es, ok := s.encs[key]
-	gen := s.cacheGen
-	dicts := s.dictsLocked(dataset)
-	s.mu.RUnlock()
-	if ok {
-		metSegCacheHit.Inc()
-		return es, nil
-	}
-	metSegCacheMiss.Inc()
-	es, err := ReadSegmentFileColumnsEncoded(filepath.Join(s.dir, ref.File), positions, dicts)
+	lay, resolved, pages, n, err := s.readPages(dataset, ref, positions, false)
 	if err != nil {
 		return nil, err
 	}
-	metBytesReadEncoded.Add(es.FileBytes)
-	s.mu.Lock()
-	if s.cacheGen == gen {
-		s.encs[key] = es
+	cols := make([]*EncodedColumn, len(pages))
+	for i := range pages {
+		cols[i] = pages[i].enc
 	}
-	s.bytesRead += es.FileBytes
-	s.mu.Unlock()
-	return es, nil
+	return lay.segment(resolved, cols, n), nil
 }
 
-// cacheInsert adds a decoded segment under key unless a compaction
-// purge ran since the caller snapshotted gen — inserting then would
-// resurrect an entry for a deleted file that nothing ever evicts.
-// Bytes read are counted either way; the disk read happened.
-func (s *Store) cacheInsert(key string, t *table.Table, gen uint64, bytes int64) {
-	s.mu.Lock()
-	if s.cacheGen == gen {
-		s.segs[key] = t
-	}
-	s.bytesRead += bytes
-	s.mu.Unlock()
-}
+// readPages is the store's one segment read: the pages at positions (nil
+// = every column) of one segment, with the decoded half filled when
+// decoded is set and the parsed half otherwise. Cached halves cost
+// nothing; a decoded read of a page cached only parsed materializes it
+// without touching disk; every other page is read from the file — only
+// those pages, plus the header and meta block when no cached page of
+// the file carries its layout. It returns the layout, the resolved
+// positions, their pages and the bytes read from disk.
+func (s *Store) readPages(dataset string, ref SegmentRef, positions []int, decoded bool) (*segLayout, []int, []cachedPage, int64, error) {
+	full := positions == nil
+	s.mu.RLock()
+	lay, positions, pages, missing := s.lookupLocked(ref.File, positions, decoded)
+	gen := s.cacheGen
+	dicts := s.dictsLocked(dataset)
+	s.mu.RUnlock()
 
-// colsKey renders column positions as a cache-key suffix.
-func colsKey(positions []int) string {
-	var b []byte
-	for i, c := range positions {
-		if i > 0 {
-			b = append(b, ',')
+	var disk []int // indexes into positions whose page comes from the file
+	for _, i := range missing {
+		if !decoded || pages[i].enc == nil {
+			disk = append(disk, i)
 		}
-		b = fmt.Appendf(b, "%d", c)
 	}
-	return string(b)
+	var n int64
+	if lay == nil || len(disk) > 0 {
+		metSegCacheMiss.Inc()
+		var want []int // nil (positions unresolved) reads every page
+		if positions != nil {
+			want = make([]int, 0, len(disk))
+			for _, i := range disk {
+				want = append(want, positions[i])
+			}
+		}
+		fresh, cols, read, err := readSegmentFile(filepath.Join(s.dir, ref.File), lay, want, dicts)
+		if err != nil {
+			return nil, nil, nil, 0, err
+		}
+		if positions == nil { // nothing of the file was cached: every page is fresh
+			positions = allColumns(fresh.sch.Len())
+			pages = make([]cachedPage, len(positions))
+			missing, disk = positions, positions // indexes and positions coincide
+		}
+		for j, i := range disk {
+			pages[i].enc = cols[j]
+		}
+		lay, n = fresh, read
+		switch {
+		case !decoded:
+			metBytesReadEncoded.Add(n)
+		case full:
+			metBytesReadFull.Add(n)
+		default:
+			metBytesReadProjected.Add(n)
+		}
+	} else {
+		metSegCacheHit.Inc()
+	}
+	if decoded {
+		for _, i := range missing {
+			dec, err := pages[i].enc.Materialize()
+			if err != nil {
+				return nil, nil, nil, 0, fmt.Errorf("storage: %s: column %d: %w", ref.File, positions[i], err)
+			}
+			pages[i].dec = dec
+		}
+	}
+	if len(missing) > 0 || n > 0 {
+		s.storePages(ref.File, gen, lay, positions, pages, missing, decoded, n)
+	}
+	return lay, positions, pages, n, nil
+}
+
+// lookupLocked gathers a read's cached pages (s.mu held): the file's
+// layout if any needed page of it is cached, the positions (nil resolves
+// to every column once the layout is known), each position's cached
+// halves, and the indexes whose requested half is missing.
+func (s *Store) lookupLocked(file string, positions []int, decoded bool) (*segLayout, []int, []cachedPage, []int) {
+	var lay *segLayout
+	if positions == nil {
+		pe := s.pages[pageKey{file, 0}]
+		if pe == nil {
+			return nil, nil, nil, nil
+		}
+		lay, positions = pe.lay, allColumns(pe.lay.sch.Len())
+	}
+	pages := make([]cachedPage, len(positions))
+	var missing []int
+	for i, c := range positions {
+		if pe := s.pages[pageKey{file, c}]; pe != nil {
+			pages[i], lay = *pe, pe.lay
+		}
+		if (decoded && pages[i].dec == nil) || (!decoded && pages[i].enc == nil) {
+			missing = append(missing, i)
+		}
+	}
+	return lay, positions, pages, missing
+}
+
+// storePages caches the halves a read just filled (pages[i] for i in
+// filled) and counts the bytes it read. When a purge ran since the read
+// snapshotted gen, nothing is cached: the file may be one the purge just
+// deleted, and nothing would ever evict its pages. Bytes read are
+// counted either way; the disk read happened.
+func (s *Store) storePages(file string, gen uint64, lay *segLayout, positions []int, pages []cachedPage, filled []int, decoded bool, bytes int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.bytesRead += bytes
+	if s.cacheGen != gen {
+		return
+	}
+	for _, i := range filled {
+		k := pageKey{file, positions[i]}
+		pe := s.pages[k]
+		if pe == nil {
+			pe = &cachedPage{}
+			s.pages[k] = pe
+		}
+		pe.lay = lay
+		if decoded {
+			pe.dec = pages[i].dec
+		} else {
+			pe.enc = pages[i].enc
+		}
+	}
+}
+
+// purgeCacheLocked drops the cached pages of every segment file live
+// does not name (all of them for a nil set) and bumps cacheGen, so a
+// read that raced the purge does not re-insert its pages. s.mu held.
+func (s *Store) purgeCacheLocked(live map[string]bool) {
+	for k := range s.pages {
+		if !live[k.file] {
+			delete(s.pages, k)
+		}
+	}
+	s.cacheGen++
 }
 
 // BytesRead returns the cumulative segment-file bytes scans have read
@@ -576,14 +665,12 @@ func (s *Store) BytesRead() int64 {
 	return s.bytesRead
 }
 
-// DropSegmentCache empties the decoded-segment cache (benchmarks use
-// this to measure genuinely cold scans). Reads already in flight will
-// not repopulate it — the generation bump makes their inserts no-ops.
+// DropSegmentCache empties the page cache (benchmarks use this to
+// measure genuinely cold scans). Reads already in flight will not
+// repopulate it — the generation bump makes their inserts no-ops.
 func (s *Store) DropSegmentCache() {
 	s.mu.Lock()
-	s.segs = map[string]*table.Table{}
-	s.encs = map[string]*EncodedSegment{}
-	s.cacheGen++
+	s.purgeCacheLocked(nil)
 	s.mu.Unlock()
 }
 
@@ -697,7 +784,11 @@ func (s *Store) Flush() error {
 	for name := range s.tails {
 		names[name] = true
 	}
-	newSegCache := map[string]*table.Table{}
+	type flushed struct {
+		lay *segLayout
+		t   *table.Table
+	}
+	var written map[string]flushed
 	var ordered []string
 	for _, dm := range s.man.Datasets {
 		ordered = append(ordered, dm.Name)
@@ -761,12 +852,15 @@ func (s *Store) Flush() error {
 				file := segName(s.nextSeg)
 				s.nextSeg++
 				next.NextSeg = s.nextSeg
-				meta, err := WriteSegmentFileDict(s.dir, file, t, dicts, true)
+				lay, err := writeSegmentFile(s.dir, file, t, dicts, true)
 				if err != nil {
 					return err
 				}
-				dm.Segments = append(dm.Segments, SegmentRef{File: file, Meta: meta})
-				newSegCache[file] = t
+				dm.Segments = append(dm.Segments, SegmentRef{File: file, Meta: lay.meta})
+				if written == nil {
+					written = map[string]flushed{}
+				}
+				written[file] = flushed{lay, t}
 			}
 		}
 		dm.setDicts(dicts)
@@ -790,8 +884,12 @@ func (s *Store) Flush() error {
 	s.wal = newWal
 	s.man = next
 	s.tails = map[string]*tail{}
-	for f, t := range newSegCache {
-		s.segs[f] = t
+	// The flushed tables are the new files' decoded pages: a read right
+	// after the flush is a cache hit.
+	for file, w := range written {
+		for c := 0; c < w.t.NumCols(); c++ {
+			s.pages[pageKey{file, c}] = &cachedPage{lay: w.lay, dec: w.t.Col(c)}
+		}
 	}
 	oldWal.Close()
 	os.Remove(filepath.Join(s.dir, walName(next.WalGen-1)))
@@ -802,12 +900,7 @@ func (s *Store) Flush() error {
 	// tombstones just committed) are dead: delete them now instead of
 	// waiting for the next open's garbage collection, so a stale reader
 	// fails fast with not-exist and re-snapshots.
-	liveFiles := map[string]bool{}
-	for _, dm := range next.Datasets {
-		for _, ref := range dm.Segments {
-			liveFiles[ref.File] = true
-		}
-	}
+	liveFiles := next.segmentFiles()
 	purged := false
 	for _, dm := range old.Datasets {
 		for _, ref := range dm.Segments {
@@ -818,21 +911,7 @@ func (s *Store) Flush() error {
 		}
 	}
 	if purged {
-		// Drop dead decoded tables and stop in-flight reads from
-		// re-inserting them.
-		for key := range s.segs {
-			file, _, _ := strings.Cut(key, "?")
-			if !liveFiles[file] {
-				delete(s.segs, key)
-			}
-		}
-		for key := range s.encs {
-			file, _, _ := strings.Cut(key, "?")
-			if !liveFiles[file] {
-				delete(s.encs, key)
-			}
-		}
-		s.cacheGen++
+		s.purgeCacheLocked(liveFiles)
 	}
 	return nil
 }
